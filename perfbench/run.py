@@ -11,12 +11,16 @@ an operation fails on an unexpected exit code, a traceback or a failed
 check. The last line of standard output is one JSON object:
 `{"correct", "attempted", "failed", "metrics"}`, with the end-to-end
 metrics under `--trace 0` and the per-layer metrics under `--trace 1`.
-See README.md for the metrics, workloads and reference figures.
+End-to-end times are scaled to the speed of a fixed reference job
+(`reference.py`) started between the operations, so that the machine's
+drift in speed cancels. See README.md for the metrics, workloads and
+reference figures.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import random
@@ -34,9 +38,14 @@ sys.path.insert(0, HERE)
 import workloads  # noqa: E402
 from workloads import Result  # noqa: E402
 
-# Timed `--help` starts per untraced round, spread before its operations
-# so that they sample the machine as the operations do.
-SETUP_STARTS = 9
+# Starts of the reference job, and timed `--help` starts, per untraced
+# round, spread evenly before its operations so that they sample the
+# machine as the operations do.
+SAMPLES = 3
+# The reference job's wall and cpu time at the speed the reported times
+# are scaled to (see `gauge`): about its time on the reference machine.
+REFERENCE_S = 0.17
+REFERENCE_OUT = b'{"by_height":{"2":216,"3":1461,"4":1468,"5":401},"shapes":3546}\n'
 OP_TIMEOUT_S = 150  # an operation still running then is killed and fails
 MB = 1024.0  # ru_maxrss is in KiB on Linux
 
@@ -86,10 +95,12 @@ class Runner:
         self.failed = 0
         self.problems: list = []
         self.setup_walls: list = []
+        self.gauges: list = []  # (wall s, cpu s) of each reference job
+        self.verdicts: dict = {}  # digest of a round's outputs -> problems
 
-    def launch(self, argv, trace_to=None):
+    def launch(self, argv, trace_to=None, script="entry.py"):
         """One gridlang command: (Result, wall s, cpu s, peak rss MB)."""
-        cmd = [sys.executable, "-I", os.path.join(HERE, "entry.py")]
+        cmd = [sys.executable, "-I", os.path.join(HERE, script)]
         if trace_to is not None:
             cmd += ["--trace-to", trace_to]
         cmd += list(argv)
@@ -132,27 +143,55 @@ class Runner:
         if timed:
             self.setup_walls.append(wall)
 
+    def gauge(self) -> None:
+        """One start of the reference job (`reference.py`), which does a
+        fixed amount of Python work apart from gridlang."""
+        res, wall, cpu, _ = self.launch([], script="reference.py")
+        if (res.code, res.out) != (0, REFERENCE_OUT):
+            raise RuntimeError(f"reference job failed: {res.code} {res.out!r} {res.err[-300:]}")
+        self.gauges.append((wall, cpu))
+
     def round(self, wl: workloads.Workload, traced: bool) -> dict:
-        results, wall, cpu, rss, layers = {}, 0.0, 0.0, 0.0, {}
+        """One pass over the workload's operations: per operation label,
+        its wall s, cpu s and peak rss MB, plus the summed layer figures
+        of a traced round."""
+        results, ops, layers = {}, {}, {}
         out_bytes = 0
-        for op in wl.ops:
-            if not traced:
-                for _ in range(-(-SETUP_STARTS // len(wl.ops))):
-                    self.setup(timed=True)
+        for k, op in enumerate(wl.ops):
+            if not traced and k * SAMPLES % len(wl.ops) < SAMPLES:
+                self.setup(timed=True)
+                self.gauge()
             trace_to = os.path.join(self.workdir, "trace.json") if traced else None
             res, w, c, r = self.launch(op.argv, trace_to)
             results[op.label] = res
-            wall, cpu, rss = wall + w, cpu + c, max(rss, r)
+            ops[op.label] = (w, c, r)
             out_bytes += len(res.out)
             if traced:
                 with open(trace_to) as fh:
                     for key, value in json.load(fh).items():
                         layers[key] = layers.get(key, 0.0) + value
-        problems = wl.check(results)
+        # A round whose outputs repeat an earlier round's byte for byte
+        # gets that round's verdict without checking them again.
+        digest = hashlib.sha256()
+        for op in wl.ops:
+            res = results[op.label]
+            digest.update(b"%d %d %d\n" % (res.code, len(res.out), len(res.err)))
+            digest.update(res.out)
+            digest.update(res.err.encode())
+        key = digest.digest()
+        if key not in self.verdicts:
+            self.verdicts[key] = wl.check(results)
+        problems = self.verdicts[key]
         for op in wl.ops:
             self.tally(op.label, results[op.label], op.expect, problems.get(op.label))
         layers["cli.output_bytes"] = out_bytes
-        return {"wall": wall, "cpu": cpu, "rss": rss, "layers": layers}
+        return {"ops": ops, "layers": layers}
+
+
+def per_round(rounds: list, k: int) -> float:
+    """Figure `k` (0 wall s, 1 cpu s) of the run's average round: the sum
+    over operations of their mean across the rounds."""
+    return statistics.fmean(sum(r["ops"][label][k] for label in r["ops"]) for r in rounds)
 
 
 def layer_metrics(traced: list, untraced: list) -> dict:
@@ -163,8 +202,7 @@ def layer_metrics(traced: list, untraced: list) -> dict:
     pairs = out["compose.compose_langs.pairs"]
     out["equations.solve.yield"] = out["equations.solve.words"] / pairs if pairs else 0.0
     out["cli.output_bytes"] = statistics.median(r["layers"]["cli.output_bytes"] for r in traced)
-    out["trace.overhead_s"] = (statistics.median(r["wall"] for r in traced)
-                               - statistics.median(r["wall"] for r in untraced))
+    out["trace.overhead_s"] = per_round(traced, 0) - per_round(untraced, 0)
     return out
 
 
@@ -189,14 +227,28 @@ def bench(name: str, seed: int, seconds: float, trace: bool, scale: str = "full"
                 break
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
+    raw = {}
     if trace:
         values = layer_metrics(traced, plain)
     else:
+        walls, cpus = zip(*runner.gauges)
+        raw = {
+            "setup_s": statistics.fmean(runner.setup_walls),
+            "wall_s": per_round(plain, 0),
+            "cpu_s": per_round(plain, 1),
+            "reference_wall_s": statistics.fmean(walls),
+            "reference_cpu_s": statistics.fmean(cpus),
+        }
+        # Times are scaled to the reference speed: the machine's speed
+        # drifts by a third over minutes, and the reference job, started
+        # between the operations, drifts with it (README.md).
+        pace = REFERENCE_S / raw["reference_wall_s"]
         values = {
-            "setup_s": statistics.median(runner.setup_walls),
-            "wall_s": statistics.median(r["wall"] for r in plain),
-            "cpu_s": statistics.median(r["cpu"] for r in plain),
-            "peak_rss_mb": statistics.median(r["rss"] for r in plain),
+            "setup_s": raw["setup_s"] * pace,
+            "wall_s": raw["wall_s"] * pace,
+            "cpu_s": raw["cpu_s"] * REFERENCE_S / raw["reference_cpu_s"],
+            "peak_rss_mb": max(statistics.median(r["ops"][label][2] for r in plain)
+                               for label in plain[0]["ops"]),
         }
     for problem in runner.problems:
         print(f"FAILED {name}: {problem}", file=sys.stderr)
@@ -204,6 +256,7 @@ def bench(name: str, seed: int, seconds: float, trace: bool, scale: str = "full"
         "workload": name, "seed": seed, "seconds": seconds, "trace": trace,
         "scale": scale, "rounds": len(plain) + len(traced),
         "operations": [" ".join(op.argv) for op in wl.ops],
+        "unscaled": raw,
         "problems": runner.problems,
     }
     with open(os.path.join(HERE, "_run", f"{name}-seed{seed}-trace{int(trace)}.json"), "w") as fh:

@@ -160,7 +160,7 @@ def _guard(problems: dict, label: str, fn) -> None:
 
 
 def solve_workload(rng: random.Random, workdir: str, scale: str) -> Workload:
-    big, small, mutual_b = ((25, 25, 25), (16, 16, 16), (9, 9, 16)) if scale == "full" \
+    big, small, mutual_b = ((17, 17, 17), (11, 11, 11), (9, 9, 12)) if scale == "full" \
         else ((9, 9, 9), (5, 5, 5), (4, 4, 5))
     mutual = os.path.join("src", "gridlang", "corpus", "mutual.t2d")
     ops = [
@@ -218,7 +218,7 @@ SATS = "F02ac.c"
 
 def crosscheck_workload(rng: random.Random, workdir: str, scale: str) -> Workload:
     if scale == "full":
-        top, diffs, basic = (8, 8, 16), [(6, 6, 12), (7, 7, 16), (8, 8, 16)], (6, 6, 12)
+        top, diffs, basic = (7, 7, 16), [(6, 6, 12), (7, 7, 16)], (6, 6, 12)
     else:
         top, diffs, basic = (6, 6, 8), [(4, 4, 6), (5, 5, 8), (6, 6, 8)], (4, 4, 6)
     system = tiles.parse_two_color(SATS)
@@ -281,7 +281,7 @@ def crosscheck_workload(rng: random.Random, workdir: str, scale: str) -> Workloa
 
 
 def enumerate_workload(rng: random.Random, workdir: str, scale: str) -> Workload:
-    rec_b, asc_b = ((5, 5, 7), (4, 4, 6)) if scale == "full" else ((3, 3, 4), (2, 2, 3))
+    rec_b, asc_b = ((5, 5, 6), (3, 4, 6)) if scale == "full" else ((3, 3, 4), (2, 2, 3))
     f02ac, f0f = tiles.parse_two_color(SATS), tiles.parse_two_color("F0f")
     enum = lambda sats, b: ("enum", "--sats", sats, *bound_args(b))
     ops = [
@@ -319,8 +319,8 @@ def enumerate_workload(rng: random.Random, workdir: str, scale: str) -> Workload
 
 
 def protocol_workload(rng: random.Random, workdir: str, scale: str) -> Workload:
-    lengths = [40, 80, 120, 200] if scale == "full" else [3, 4, 5, 6]
-    pooled = lengths[2]  # the run validated with --jobs 2
+    lengths = [40, 60, 80, 100] if scale == "full" else [3, 4, 5, 6]
+    pooled = lengths[-1]  # the run validated with --jobs 2
     rng.shuffle(lengths)
     corrupt = set(rng.sample(range(len(lengths)), len(lengths) // 2))
     ops, runs, mutations = [], {}, {}
