@@ -12,7 +12,10 @@ scenario violations, exhausted node budget), 2 for usage errors. Node
 budget exhaustion always leaves a partial marker on the output rather
 than silently truncating. With --format records the output is JSON
 lines sorted by (cell count, row-major rendering), byte-identical for
-identical inputs regardless of --jobs.
+identical inputs.
+
+Every verb runs in one process. Each still accepts --jobs N and ignores
+it, so existing command lines keep working.
 """
 
 from __future__ import annotations
@@ -172,7 +175,7 @@ def _cmd_enum(args: argparse.Namespace, out: TextIO) -> int:
     f = _load_sats(args.sats)
     bounds = _resolve_bounds(args)
     try:
-        words = enumerate_language(f, bounds, jobs=args.jobs)
+        words = enumerate_language(f, bounds)
     except BudgetExhausted as exc:
         _emit_words(exc.partial or (), args.format, out)
         print(_PARTIAL_MARKER, file=out)
@@ -248,7 +251,7 @@ def _cmd_diff(args: argparse.Namespace, out: TextIO) -> int:
         return 1
     try:
         diff = diff_against_language(
-            f, bounds, sol.values[var], max_witnesses=args.witnesses, jobs=args.jobs
+            f, bounds, sol.values[var], max_witnesses=args.witnesses
         )
     except BudgetExhausted:
         print(_PARTIAL_MARKER, file=out)
@@ -299,7 +302,7 @@ def _load_protocol(args: argparse.Namespace):
 def _cmd_validate(args: argparse.Namespace, out: TextIO) -> int:
     lib, scenario = _load_protocol(args)
     try:
-        report = validate_scenario(scenario, lib, jobs=args.jobs)
+        report = validate_scenario(scenario, lib)
     except ValueError as exc:
         raise _domain(str(exc))
     completed = True
@@ -400,7 +403,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if bounds:
             _add_bounds(p)
         p.add_argument("--format", choices=("ascii", "records"), default="ascii")
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--jobs", type=int, default=1, help="accepted and ignored")
 
     p = sub.add_parser("enum", help="list a tile-system language within bounds")
     p.add_argument("--sats", required=True, help="two-color notation or a .sats file")

@@ -10,11 +10,13 @@ The node budget from the bounds is shared across the entire solve.
 When it runs out mid-round, the last completed round is returned with
 saturated=False instead of raising.
 
-Two systems from the problem domain ship as builtins: a square-growing
-system whose solution is the odd squares of a's with a single x center,
-and the roof-and-fill system describing the language of the F02ac.c
-tile system, in a basic form and a general form that merges roofs
-through extremeness-filtered corner restrictions.
+Two systems from the problem domain ship as builtins, read from the
+packaged corpus files: a square-growing system whose solution is the
+odd squares of a's with a single x center (squares.t2d), and the
+roof-and-fill system describing the language of the F02ac.c tile
+system, in a basic form (f02ac.t2d) and a general form that merges
+roofs through extremeness-filtered corner restrictions
+(f02ac-general.t2d).
 """
 
 from __future__ import annotations
@@ -73,36 +75,17 @@ def fixed_point_holds(sys: EquationSystem, sol: Solution, bounds: Bounds) -> boo
 # Builtin systems
 
 SQUARES_TARGET = "X"
+F02AC_TARGET = "X11"
 
-_SQUARES_TEXT = """\
-Er = ((a *(e=w)) (se=ne) (a *(s=n))) (sw=ne) ((a *(e=w)) (nw=sw) (a *(s=n)))
-Erect = (Er ((nw>ne)&(nw>sw)) a) ((se>ne)&(se>sw)) a
-X = x + X ((n<s)&(e<w)&(s<n)&(w<e)) Erect
-"""
+
+def corpus_text(name: str) -> str:
+    """Text of a packaged corpus file."""
+    return resources.files("gridlang").joinpath("corpus", name).read_text()
 
 
 def builtin_squares() -> EquationSystem:
     """Growing odd squares of a's around a single x center; target X."""
-    return parse_system(_SQUARES_TEXT)
-
-
-F02AC_TARGET = "X11"
-
-_F02AC_LINES = (
-    "X1 = c + c (sw=ne) X1",
-    "X2 = X1 (ne=nw) 2",
-    "X3 = c + c (se=nw) X3",
-    "X4 = X2 (ne=nw) X3",
-    "X5 = c ((s<n)&!(sw#nw)&!(se#ne)) X4",
-    "X6 = ((0 *(e=w)) (e=w) 2) (e=w) (a *(e=w))",
-    "X7 = (0 *(e=w))",
-    "X8 = (a *(e=w))",
-    "X9 = X5 + X6 ((n<s)&(w<e)&(e<w)&!(s#n)) X9",
-    "X10 = X9 + X7 ((n<s)&(w<e)&!(e#w)&!(s#n)) X10",
-    "X11 = X10 + X8 ((n<s)&(e<w)&!(w#e)&!(s#n)) X11",
-)
-
-_F02AC_PRIME = "X5' = X5 + X5 ((xne<xsw)&!((!x)nw#sw)&!(n#s)) X5'"
+    return parse_system(corpus_text("squares.t2d"))
 
 
 def builtin_f02ac(general: bool = False) -> EquationSystem:
@@ -112,19 +95,7 @@ def builtin_f02ac(general: bool = False) -> EquationSystem:
     X9 in place of X5; single roofs stay reachable since X5' sums them
     in. The basic form describes single-roof (hat-shaped) words only.
     """
-    lines = list(_F02AC_LINES)
-    if general:
-        lines.insert(5, _F02AC_PRIME)
-        lines = [
-            line.replace("X9 = X5 +", "X9 = X5' +") if line.startswith("X9 =") else line
-            for line in lines
-        ]
-    return parse_system("\n".join(lines) + "\n")
-
-
-def corpus_text(name: str) -> str:
-    """Text of a packaged corpus file."""
-    return resources.files("gridlang").joinpath("corpus", name).read_text()
+    return parse_system(corpus_text("f02ac-general.t2d" if general else "f02ac.t2d"))
 
 
 # ---------------------------------------------------------------------------

@@ -22,11 +22,10 @@ such on the module objects.
 from __future__ import annotations
 
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from importlib import resources
 from typing import Iterable, Iterator, Mapping, Optional
 
+from .equations import corpus_text
 from .grid import Budget
 
 Pos = tuple[int, int]
@@ -478,30 +477,17 @@ class ValidationReport:
         return frozenset(p for v in self.violations for p in v.cells)
 
 
-def _check_cell_worker(args) -> tuple[Pos, bool]:
-    pos, module, borders = args
-    return pos, check_cell(module, *borders)
-
-
-def validate_scenario(
-    s: DataScenario, lib: Iterable[DataModule], jobs: int = 1
-) -> ValidationReport:
+def validate_scenario(s: DataScenario, lib: Iterable[DataModule]) -> ValidationReport:
     """Check every cell, every shared border, and every wire."""
     by_name = {m.name: m for m in lib}
     cmap = s.cell_map
-    tasks = []
-    for pos, cell in sorted(cmap.items()):
+    for pos, cell in cmap.items():
         if cell.module not in by_name:
             raise ValueError(f"unknown module {cell.module!r} at {pos}")
-        tasks.append(
-            (pos, by_name[cell.module], (cell.west, cell.north, cell.east, cell.south))
-        )
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_check_cell_worker, tasks))
-    else:
-        results = [_check_cell_worker(t) for t in tasks]
-    checks = tuple(sorted(results))
+    checks = tuple(
+        (pos, check_cell(by_name[c.module], c.west, c.north, c.east, c.south))
+        for pos, c in sorted(cmap.items())
+    )
 
     violations: list[Violation] = []
     for pos, ok in checks:
@@ -616,21 +602,27 @@ def complete_scenario(
             return borders[(r - 1, c)][3]
         return north_inputs.get(pos, EMPTY)
 
-    def search(k: int) -> bool:
-        if k == len(order):
-            return True
+    # Depth first with an explicit stack: one entry per cell from the
+    # first to the one being decided, holding its inputs and the
+    # candidates it has not tried yet.
+    pending: list[tuple[Datum, Datum, Iterator[tuple[Datum, Datum]]]] = []
+    while len(borders) < len(order):
+        k = len(borders)
         pos = order[k]
-        west, north = west_of(pos), north_of(pos)
-        for east, south in cell_outputs(by_name[layout[pos]], west, north):
-            budget.charge()
-            borders[pos] = (west, north, east, south)
-            if search(k + 1):
-                return True
-            del borders[pos]
-        return False
-
-    if not search(0):
-        return None
+        if len(pending) == k:
+            west, north = west_of(pos), north_of(pos)
+            outputs = cell_outputs(by_name[layout[pos]], west, north)
+            pending.append((west, north, iter(outputs)))
+        west, north, candidates = pending[-1]
+        choice = next(candidates, None)
+        if choice is None:
+            pending.pop()
+            if not pending:
+                return None
+            del borders[order[k - 1]]
+            continue
+        budget.charge()
+        borders[pos] = (west, north, *choice)
     cells = tuple(
         (r, c, DataCell(layout[(r, c)], *borders[(r, c)])) for r, c in order
     )
@@ -918,10 +910,6 @@ def format_scenario(s: DataScenario) -> str:
 # The communication protocol
 
 
-def _corpus(name: str) -> str:
-    return resources.files("gridlang").joinpath("corpus", name).read_text()
-
-
 def builtin_protocol() -> tuple[tuple[DataModule, ...], DataScenario]:
     """The lossy-channel communication protocol: library and scenario.
 
@@ -932,6 +920,6 @@ def builtin_protocol() -> tuple[tuple[DataModule, ...], DataScenario]:
     in index order. The SR and End modules are reconstructions.
     """
     return (
-        parse_module_library(_corpus("protocol-modules.imod")),
-        parse_scenario(_corpus("protocol-scenario.imod")),
+        parse_module_library(corpus_text("protocol-modules.imod")),
+        parse_scenario(corpus_text("protocol-scenario.imod")),
     )

@@ -8,13 +8,14 @@ accepting when every external border carries an admissible label. The
 language of a system is the set of letter words obtained by stripping
 accepting scenarios.
 
-Enumeration searches an R x C box cell by cell in row-major order,
-choosing an allowed tile or leaving the cell empty, pruning on every
-decided border. Words are produced directly in normalized position by
-requiring row 0 and column 0 to be occupied. The search space splits
-into independent partitions by the first cell's choice, so runs can fan
-out over processes and still merge deterministically in partition
-order.
+Every bounded question about a language walks an R x C box cell by cell
+in row-major order, choosing a letter or leaving the cell empty, and
+tracks the frontier: the set of border profiles the choices so far can
+leave open. One transition, _step, matches borders and checks boundary
+labels. Enumeration and witness search drive it depth first, counting
+drives it as a dynamic program over frontiers, and acceptance drives it
+with every choice fixed by the word. Words come out in normalized
+position because row 0 and column 0 must be occupied.
 
 Labels are strings throughout. The two-color notation packs a 2-label
 system into hex digits: tile digit d has borders (w, n, e, s) spelled
@@ -24,11 +25,11 @@ fixes the single admissible external label per direction the same way.
 
 from __future__ import annotations
 
+import itertools
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .grid import (
     Bounds,
@@ -40,8 +41,6 @@ from .grid import (
     render_ascii,
     word_sort_key,
 )
-
-_EMPTY = -1
 
 
 def _good_symbol(s: object) -> bool:
@@ -105,6 +104,39 @@ class TileSystem:
         for t in self.tiles:
             out.setdefault(t.letter, []).append(t)
         return {k: tuple(v) for k, v in out.items()}
+
+    @cached_property
+    def placements(
+        self,
+    ) -> dict[str, dict[tuple, tuple[tuple[str, Optional[str]], ...]]]:
+        """Per letter: (west, north, last row, last column) -> (south, east) outcomes.
+
+        A west or north of None stands for an empty neighbour, so the
+        tile's border there must be admissible. On the last row or column
+        the south or east border faces outside and must be admissible
+        too, and the outgoing east is None because the next cell starts
+        a new row. Keys without outcomes are left out.
+        """
+        ext_w, ext_n = self.external_west, self.external_north
+        ext_e, ext_s = self.external_east, self.external_south
+        wests = [None, *sorted({t.east for t in self.tiles})]
+        norths = [None, *sorted({t.south for t in self.tiles})]
+        out: dict[str, dict[tuple, tuple[tuple[str, Optional[str]], ...]]] = {}
+        for letter, group in self.tiles_by_letter.items():
+            table = out[letter] = {}
+            for key in itertools.product(wests, norths, (False, True), (False, True)):
+                west, north, last_row, last_col = key
+                outcomes = {
+                    (t.south, None if last_col else t.east)
+                    for t in group
+                    if (t.west in ext_w if west is None else t.west == west)
+                    and (t.north in ext_n if north is None else t.north == north)
+                    and (not last_col or t.east in ext_e)
+                    and (not last_row or t.south in ext_s)
+                }
+                if outcomes:
+                    table[key] = tuple(outcomes)
+        return out
 
 
 @dataclass(frozen=True)
@@ -272,6 +304,53 @@ def parse_tile_system(text: str) -> TileSystem:
 
 
 # ---------------------------------------------------------------------------
+# The row-major frontier
+#
+# Every question about a language within a box is answered by walking the
+# box cell by cell in row-major order, choosing for each cell a letter or
+# nothing. After a prefix of choices, the frontier is the set of border
+# profiles that some tile assignment of the prefix leaves open. A profile
+# is the south label facing each column (None under an empty cell) plus
+# the east label facing the next cell (None after an empty cell or at the
+# end of a row). _step, with the TileSystem.placements table it reads,
+# is the one place where borders are matched and boundary labels
+# checked; enumeration, counting, witness search and acceptance all
+# drive it.
+
+Profile = tuple[tuple[Optional[str], ...], Optional[str]]
+Frontier = frozenset[Profile]
+
+
+def _start(cols: int) -> Frontier:
+    return frozenset({((None,) * cols, None)})
+
+
+def _step(
+    f: TileSystem,
+    frontier: Frontier,
+    c: int,
+    choice: Optional[str],
+    last_row: bool,
+    last_col: bool,
+) -> Frontier:
+    """Profiles reachable after `choice` (a letter, or None for empty) at column c."""
+    out = set()
+    if choice is None:
+        # Borders facing an empty cell are external.
+        ext_e, ext_s = f.external_east, f.external_south
+        for fronts, east in frontier:
+            south = fronts[c]
+            if (east is None or east in ext_e) and (south is None or south in ext_s):
+                out.add((fronts[:c] + (None,) + fronts[c + 1 :], None))
+        return frozenset(out)
+    table = f.placements.get(choice, {})
+    for fronts, east in frontier:
+        for south, east_out in table.get((east, fronts[c], last_row, last_col), ()):
+            out.add((fronts[:c] + (south,) + fronts[c + 1 :], east_out))
+    return frozenset(out)
+
+
+# ---------------------------------------------------------------------------
 # Validity and acceptance
 
 
@@ -309,48 +388,26 @@ def accepting(f: TileSystem, s: Scenario) -> bool:
 def word_accepted(f: TileSystem, w: Word) -> bool:
     """Some accepting scenario of f strips to this word.
 
-    Backtracking over letter-matching tiles, constraint-checked cell by
-    cell in row-major order; borders facing unoccupied positions must be
-    externally admissible.
+    Steps the frontier across the word's bounding box in row-major
+    order, each cell's choice fixed to its letter or to empty. An empty
+    cell whose west and north cells are empty too leaves every profile
+    as it is, so it is skipped.
     """
     w = normalize(w)
-    cells = w.cells
-    occ = w.positions
-    by_letter = f.tiles_by_letter
-    assigned: dict[Pos, Tile] = {}
-
-    def fits(r: int, c: int, t: Tile) -> bool:
-        west = assigned.get((r, c - 1))
-        if west is not None:
-            if west.east != t.west:
+    letters = w.cell_map
+    rows, cols = w.height, w.width
+    frontier = _start(cols)
+    for r in range(rows):
+        for c in range(cols):
+            letter = letters.get((r, c))
+            if letter is None and (
+                (r, c - 1) not in letters and (r - 1, c) not in letters
+            ):
+                continue
+            frontier = _step(f, frontier, c, letter, r == rows - 1, c == cols - 1)
+            if not frontier:
                 return False
-        elif (r, c - 1) not in occ and t.west not in f.external_west:
-            return False
-        north = assigned.get((r - 1, c))
-        if north is not None:
-            if north.south != t.north:
-                return False
-        elif (r - 1, c) not in occ and t.north not in f.external_north:
-            return False
-        if (r, c + 1) not in occ and t.east not in f.external_east:
-            return False
-        if (r + 1, c) not in occ and t.south not in f.external_south:
-            return False
-        return True
-
-    def rec(i: int) -> bool:
-        if i == len(cells):
-            return True
-        r, c, letter = cells[i]
-        for t in by_letter.get(letter, ()):
-            if fits(r, c, t):
-                assigned[(r, c)] = t
-                if rec(i + 1):
-                    return True
-                del assigned[(r, c)]
-        return False
-
-    return rec(0)
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -402,336 +459,118 @@ def scenario_compose(v: Scenario, w: Scenario) -> frozenset[Scenario]:
 # ---------------------------------------------------------------------------
 # Bounded enumeration
 
-
-class _SearchTables:
-    """Pruning tables for the row-major box search."""
-
-    def __init__(self, f: TileSystem):
-        tiles = f.tiles
-        self.tiles = tiles
-        self.letters = tuple(t.letter for t in tiles)
-        self.east = tuple(t.east for t in tiles)
-        self.south = tuple(t.south for t in tiles)
-        self.e_ok = tuple(t.east in f.external_east for t in tiles)
-        self.s_ok = tuple(t.south in f.external_south for t in tiles)
-        west_states: list[Optional[str]] = [None]
-        west_states += sorted({t.east for t in tiles})
-        north_states: list[Optional[str]] = [None]
-        north_states += sorted({t.south for t in tiles})
-        allowed: dict[tuple[Optional[str], Optional[str]], tuple[int, ...]] = {}
-        for ws in west_states:
-            for ns in north_states:
-                allowed[(ws, ns)] = tuple(
-                    i
-                    for i, t in enumerate(tiles)
-                    if (t.west in f.external_west if ws is None else t.west == ws)
-                    and (t.north in f.external_north if ns is None else t.north == ns)
-                )
-        self.allowed = allowed
+State = tuple[int, bool, bool, Frontier]  # (cells, row 0 used, column 0 used, frontier)
+Cell = tuple[int, int, str]
 
 
-def _first_choices(f: TileSystem, bounds: Bounds) -> list[int]:
-    """Choices for cell (0, 0): viable tile indices, then empty."""
-    tables = _SearchTables(f)
-    r_last = bounds.max_rows == 1
-    c_last = bounds.max_cols == 1
-    out = [
-        i
-        for i in tables.allowed[(None, None)]
-        if (not c_last or tables.e_ok[i]) and (not r_last or tables.s_ok[i])
-    ]
-    out.append(_EMPTY)
-    return out
+def _walk(
+    f: TileSystem, bounds: Bounds, budget: Budget
+) -> Callable[[int, State], list[tuple[Optional[Cell], State]]]:
+    """The box walk that enumeration and counting share.
 
-
-def _search_partition(
-    f: TileSystem,
-    bounds: Bounds,
-    first: int,
-    node_limit: int,
-    emit: Callable[[tuple[tuple[int, int, int], ...]], None],
-) -> bool:
-    """Run one first-cell branch; emit(occupied cells with tile indices).
-
-    Returns True when the branch was fully explored, False when the node
-    limit ran out.
+    Returns children(k, state): the choices at cell k (letters in
+    sorted order, then empty) that leave a non-empty frontier, each as
+    the cell it fills (None for empty) and the state it leads to.
+    Expanding a state charges one budget unit per choice tried. A
+    normalized word occupies row 0 and column 0, so states that leave
+    either bare are cut as soon as they must be. Step results are shared
+    by states with equal frontiers at the same cell.
     """
-    tables = _SearchTables(f)
     rows, cols, max_cells = bounds.max_rows, bounds.max_cols, bounds.max_cells
-    total = rows * cols
-    assign = [_EMPTY] * total
-    state = {"count": 0, "row0": 0, "col0": 0, "nodes": node_limit}
+    choices = (*sorted(f.letters), None)
+    steps: dict[tuple[int, Frontier], list[tuple[Optional[Cell], Frontier]]] = {}
 
-    def charge() -> None:
-        state["nodes"] -= 1
-        if state["nodes"] < 0:
-            raise BudgetExhausted("enumeration node budget exhausted")
-
-    def place(k: int, r: int, c: int, ti: int) -> None:
-        assign[k] = ti
-        state["count"] += 1
-        if r == 0:
-            state["row0"] += 1
-        if c == 0:
-            state["col0"] += 1
-
-    def unplace(k: int, r: int, c: int) -> None:
-        assign[k] = _EMPTY
-        state["count"] -= 1
-        if r == 0:
-            state["row0"] -= 1
-        if c == 0:
-            state["col0"] -= 1
-
-    def rec(k: int) -> None:
-        if k == total:
-            if state["row0"] and state["col0"]:
-                emit(
-                    tuple(
-                        (i // cols, i % cols, ti)
-                        for i, ti in enumerate(assign)
-                        if ti != _EMPTY
-                    )
-                )
-            return
+    def children(k: int, state: State) -> list[tuple[Optional[Cell], State]]:
+        cnt, row0, col0, frontier = state
         r, c = divmod(k, cols)
-        # A normalized word occupies row 0 somewhere.
-        if r == 1 and c == 0 and not state["row0"]:
-            return
-        ws = None
-        if c > 0 and assign[k - 1] != _EMPTY:
-            ws = tables.east[assign[k - 1]]
-        ns = None
-        if r > 0 and assign[k - cols] != _EMPTY:
-            ns = tables.south[assign[k - cols]]
-        if state["count"] < max_cells:
-            for ti in tables.allowed[(ws, ns)]:
-                charge()
-                if c == cols - 1 and not tables.e_ok[ti]:
-                    continue
-                if r == rows - 1 and not tables.s_ok[ti]:
-                    continue
-                place(k, r, c, ti)
-                rec(k + 1)
-                unplace(k, r, c)
-        # The empty choice: borders facing this cell become external.
-        charge()
-        if r == rows - 1 and c == 0 and not state["col0"]:
-            return  # column 0 must be occupied somewhere
-        if ws is not None and not tables.e_ok[assign[k - 1]]:
-            return
-        if ns is not None and not tables.s_ok[assign[k - cols]]:
-            return
-        rec(k + 1)
+        if r == 1 and c == 0 and not row0:
+            return []  # row 0 stayed empty
+        found = steps.get((k, frontier))
+        if found is None:
+            last_row, last_col = r == rows - 1, c == cols - 1
+            found = steps[(k, frontier)] = [
+                (None if choice is None else (r, c, choice), reached)
+                for choice in choices
+                if (reached := _step(f, frontier, c, choice, last_row, last_col))
+            ]
+        budget.charge(len(choices) if cnt < max_cells else 1)
+        out = []
+        for cell, reached in found:
+            if cell is not None:
+                if cnt < max_cells:
+                    child = (cnt + 1, row0 or r == 0, col0 or c == 0, reached)
+                    out.append((cell, child))
+            elif r < rows - 1 or c > 0 or col0:  # else column 0 stays empty
+                out.append((None, (cnt, row0, col0, reached)))
+        return out
 
-    try:
-        if first == _EMPTY:
-            # Leaving (0, 0) empty is out when it is the only column-0 cell.
-            if rows > 1:
-                rec(1)
-        else:
-            viable = first in tables.allowed[(None, None)] and max_cells >= 1
-            if cols == 1 and not tables.e_ok[first]:
-                viable = False
-            if rows == 1 and not tables.s_ok[first]:
-                viable = False
-            if viable:
-                place(0, 0, 0, first)
-                rec(1)
-                unplace(0, 0, 0)
-    except BudgetExhausted:
-        return False
-    return True
+    return children
 
 
-def _emit_word(f: TileSystem, cells: tuple[tuple[int, int, int], ...]) -> Word:
-    return Word(tuple((r, c, f.tiles[ti].letter) for r, c, ti in cells))
+def _search(f: TileSystem, bounds: Bounds, budget: Budget) -> Iterator[Word]:
+    """Every word of the language within the bounds, once each, in search order.
 
-
-def _emit_scenario(f: TileSystem, cells: tuple[tuple[int, int, int], ...]) -> Scenario:
-    return Scenario(tuple((r, c, f.tiles[ti]) for r, c, ti in cells))
-
-
-def _partition_budget(bounds: Bounds, n_partitions: int) -> int:
-    return max(1, bounds.node_budget // max(1, n_partitions))
-
-
-def _enum_worker(args) -> tuple[frozenset[Word], bool]:
-    f, bounds, first, limit = args
-    out: set[Word] = set()
-    complete = _search_partition(
-        f, bounds, first, limit, lambda cells: out.add(_emit_word(f, cells))
-    )
-    return frozenset(out), complete
-
-
-def _witness_worker(args) -> tuple[list[tuple[Word, Scenario]], bool]:
-    f, bounds, first, limit = args
-    seen: dict[Word, Scenario] = {}
-
-    def keep(cells):
-        w = _emit_word(f, cells)
-        if w not in seen:
-            seen[w] = _emit_scenario(f, cells)
-
-    complete = _search_partition(f, bounds, first, limit, keep)
-    return list(seen.items()), complete
-
-
-class _EnoughWitnesses(Exception):
-    """Internal signal: a witness search collected all it needs."""
-
-
-def _miss_witness_worker(args) -> tuple[list[Word], bool]:
-    f, bounds, first, limit, expected, max_witnesses = args
-    witnesses: list[Word] = []
-
-    def check(cells):
-        w = _emit_word(f, cells)
-        if w not in expected:
-            witnesses.append(w)
-            if len(witnesses) >= max_witnesses:
-                raise _EnoughWitnesses()
-
-    try:
-        complete = _search_partition(f, bounds, first, limit, check)
-    except _EnoughWitnesses:
-        complete = True
-    return witnesses, complete
-
-
-def _run_partitions(worker, args_list: list, jobs: int) -> list:
-    if jobs <= 1 or len(args_list) <= 1:
-        return [worker(a) for a in args_list]
-    with ProcessPoolExecutor(max_workers=min(jobs, len(args_list))) as pool:
-        return list(pool.map(worker, args_list))
-
-
-def enumerate_language(f: TileSystem, bounds: Bounds, jobs: int = 1) -> frozenset[Word]:
-    """All normalized words of accepting scenarios within the bounds."""
-    firsts = _first_choices(f, bounds)
-    limit = _partition_budget(bounds, len(firsts))
-    results = _run_partitions(
-        _enum_worker, [(f, bounds, first, limit) for first in firsts], jobs
-    )
-    merged: set[Word] = set()
-    exhausted = False
-    for words, complete in results:
-        merged |= words
-        exhausted = exhausted or not complete
-    if exhausted:
-        raise BudgetExhausted(
-            "enumeration node budget exhausted", partial=frozenset(merged)
-        )
-    return frozenset(merged)
-
-
-def enumerate_scenarios(
-    f: TileSystem, bounds: Bounds, jobs: int = 1
-) -> dict[Word, Scenario]:
-    """Like enumerate_language, retaining one witness scenario per word.
-
-    The witness is the first accepting scenario in search order, which
-    does not depend on the jobs setting. Materializes everything; meant
-    for small bounds.
+    Depth first over the box with an explicit stack of child iterators.
+    Letters are chosen, not tiles, so a word that several tile
+    assignments realize is reached once.
     """
-    firsts = _first_choices(f, bounds)
-    limit = _partition_budget(bounds, len(firsts))
-    results = _run_partitions(
-        _witness_worker, [(f, bounds, first, limit) for first in firsts], jobs
-    )
-    merged: dict[Word, Scenario] = {}
-    exhausted = False
-    for items, complete in results:
-        for word, scen in items:
-            merged.setdefault(word, scen)
-        exhausted = exhausted or not complete
-    if exhausted:
-        raise BudgetExhausted("enumeration node budget exhausted", partial=merged)
-    return merged
+    total = bounds.max_rows * bounds.max_cols
+    children = _walk(f, bounds, budget)
+    stack = [iter(children(0, (0, False, False, _start(bounds.max_cols))))]
+    path: list[Optional[Cell]] = []  # the cell filled at each decided step
+    while stack:
+        move = next(stack[-1], None)
+        if move is None:
+            stack.pop()
+            if path:
+                path.pop()
+            continue
+        cell, state = move
+        path.append(cell)
+        if len(path) < total:
+            stack.append(iter(children(len(path), state)))
+            continue
+        if state[1] and state[2]:
+            yield Word(tuple(filter(None, path)))
+        path.pop()
+
+
+def enumerate_language(f: TileSystem, bounds: Bounds) -> frozenset[Word]:
+    """All normalized words of accepting scenarios within the bounds."""
+    found: set[Word] = set()
+    try:
+        found.update(_search(f, bounds, Budget(bounds.node_budget)))
+    except BudgetExhausted:
+        raise BudgetExhausted(
+            "enumeration node budget exhausted", partial=frozenset(found)
+        )
+    return frozenset(found)
 
 
 def count_language(f: TileSystem, bounds: Bounds) -> int:
     """Exact number of words in the system's language within the bounds.
 
-    Dynamic programming over the same row-major cell order as the
-    enumeration, so it agrees with enumerate_language on every input but
-    never materializes the words. One layer state is (cells used, row-0
-    occupied, column-0 occupied, reachable border profiles), where a
-    border profile records the south label facing each column of the
-    frontier plus the east label facing the next cell. Keeping the SET
-    of reachable profiles per state counts a letter word once even when
-    several tile assignments realize it.
+    Dynamic programming over the same box walk as the enumeration, so it
+    agrees with enumerate_language on every input but never materializes
+    the words. States that agree on (cells used, row 0 occupied, column
+    0 occupied, frontier) merge; a frontier is a SET of profiles, so a
+    letter word counts once even when several tile assignments realize
+    it.
 
-    Charges bounds.node_budget one unit per state transition; raises
-    BudgetExhausted if the profile sets degenerate into too many states.
+    Charges bounds.node_budget one unit per choice tried from each
+    state; raises BudgetExhausted if the frontiers degenerate into too
+    many states.
     """
-    rows, cols, max_cells = bounds.max_rows, bounds.max_cols, bounds.max_cells
-    ext_w, ext_n = f.external_west, f.external_north
-    ext_e, ext_s = f.external_east, f.external_south
-    groups = tuple((letter, f.tiles_by_letter[letter]) for letter in f.letters)
     budget = Budget(bounds.node_budget)
-
-    Profile = tuple  # (south labels per column, east label), None = open
-    start: tuple[int, bool, bool, frozenset[Profile]]
-    start = (0, False, False, frozenset({((None,) * cols, None)}))
-    states: dict[tuple[int, bool, bool, frozenset[Profile]], int] = {start: 1}
-
-    for k in range(rows * cols):
-        r, c = divmod(k, cols)
-        if r == 1 and c == 0:
-            # A normalized word occupies row 0 somewhere.
-            states = {key: m for key, m in states.items() if key[1]}
-        last_row = r == rows - 1
-        last_col = c == cols - 1
-        nxt: dict[tuple[int, bool, bool, frozenset[Profile]], int] = {}
-        for (cnt, row0, col0, profiles), mult in states.items():
-            if cnt < max_cells:
-                for letter, group in groups:
-                    budget.charge()
-                    reached = set()
-                    for fronts, east in profiles:
-                        ns = fronts[c]
-                        for t in group:
-                            if east is None:
-                                if t.west not in ext_w:
-                                    continue
-                            elif t.west != east:
-                                continue
-                            if ns is None:
-                                if t.north not in ext_n:
-                                    continue
-                            elif t.north != ns:
-                                continue
-                            if last_col and t.east not in ext_e:
-                                continue
-                            if last_row and t.south not in ext_s:
-                                continue
-                            nf = fronts[:c] + (t.south,) + fronts[c + 1 :]
-                            reached.add((nf, None if last_col else t.east))
-                    if reached:
-                        key = (cnt + 1, row0 or r == 0, col0 or c == 0,
-                               frozenset(reached))
-                        nxt[key] = nxt.get(key, 0) + mult
-            # The empty choice: borders facing this cell become external.
-            budget.charge()
-            if last_row and c == 0 and not col0:
-                continue  # column 0 must be occupied somewhere
-            reached = set()
-            for fronts, east in profiles:
-                if east is not None and east not in ext_e:
-                    continue
-                ns = fronts[c]
-                if ns is not None and ns not in ext_s:
-                    continue
-                nf = fronts[:c] + (None,) + fronts[c + 1 :]
-                reached.add((nf, None))
-            if reached:
-                key = (cnt, row0, col0, frozenset(reached))
-                nxt[key] = nxt.get(key, 0) + mult
+    states = {(0, False, False, _start(bounds.max_cols)): 1}
+    for k in range(bounds.max_rows * bounds.max_cols):
+        children = _walk(f, bounds, budget)  # no later layer revisits cell k
+        nxt: dict[State, int] = {}
+        for state, mult in states.items():
+            for _, child in children(k, state):
+                nxt[child] = nxt.get(child, 0) + mult
         states = nxt
-    return sum(m for (cnt, row0, col0, _), m in states.items()
-               if cnt and row0 and col0)
+    return sum(m for (_, row0, col0, _), m in states.items() if row0 and col0)
 
 
 # ---------------------------------------------------------------------------
@@ -760,16 +599,14 @@ def diff_against_language(
     bounds: Bounds,
     words: Iterable[Word],
     max_witnesses: int = 10,
-    jobs: int = 1,
 ) -> LanguageDiff:
     """Compare a finite word set (left) against the system language (right).
 
     The system language is never materialized: its size comes from
     count_language, membership of each left word from word_accepted, and
     the first `max_witnesses` right-only words in search order from an
-    enumeration that stops early once each partition has enough. Left
-    witnesses are reported in sorted word order, right witnesses in
-    search order; neither depends on the jobs setting.
+    enumeration that stops once it has enough. Left witnesses are
+    reported in sorted word order, right witnesses in search order.
     """
     expected = frozenset(normalize(w) for w in words)
     only_left = sorted(
@@ -784,20 +621,11 @@ def diff_against_language(
     right_total = count_language(f, bounds)
     witnesses: list[Word] = []
     if max_witnesses > 0 and right_total > common:
-        firsts = _first_choices(f, bounds)
-        limit = _partition_budget(bounds, len(firsts))
-        results = _run_partitions(
-            _miss_witness_worker,
-            [(f, bounds, first, limit, expected, max_witnesses) for first in firsts],
-            jobs,
-        )
-        exhausted = False
-        for part_wits, complete in results:
-            if len(witnesses) < max_witnesses:
-                witnesses.extend(part_wits[: max_witnesses - len(witnesses)])
-            exhausted = exhausted or not complete
-        if exhausted:
-            raise BudgetExhausted("enumeration node budget exhausted")
+        for w in _search(f, bounds, Budget(bounds.node_budget)):
+            if w not in expected:
+                witnesses.append(w)
+                if len(witnesses) == max_witnesses:
+                    break
     return LanguageDiff(
         left_total=len(expected),
         right_total=right_total,

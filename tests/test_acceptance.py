@@ -147,7 +147,7 @@ def hat_diff(hat_tiles):
     sol = solve(builtin_f02ac(general=True), bounds)
     assert sol.saturated
     diff = diff_against_language(
-        hat_tiles, bounds, sol.values["X11"], max_witnesses=10, jobs=4
+        hat_tiles, bounds, sol.values["X11"], max_witnesses=10
     )
     return diff, sol.values["X11"], time.monotonic() - t0
 
@@ -170,14 +170,14 @@ def test_criterion_2_completeness_report_is_stable(hat_tiles, hat_diff):
     report = format_language_diff(diff, "solver", "tiles")
     golden = GOLDEN.read_text()
     rerun = diff_against_language(
-        hat_tiles, Bounds(6, 6, 12), solver_words, max_witnesses=10, jobs=1
+        hat_tiles, Bounds(6, 6, 12), solver_words, max_witnesses=10
     )
     report_rerun = format_language_diff(rerun, "solver", "tiles")
     ok = report == golden and report_rerun == golden and elapsed < 300
     _verdict(
         "criterion 2 (completeness report stable, golden match)",
         ok,
-        f"{diff.right_total} tile words, {elapsed:.1f}s at 4 jobs",
+        f"{diff.right_total} tile words, {elapsed:.1f}s",
     )
     assert report == golden
     assert report_rerun == golden

@@ -44,6 +44,13 @@ class TestEnum:
         assert code == 0
         assert text == "c\n\nc\n.\nc\n\nc\n8\n\nc\n8\n8\n"
 
+    def test_large_sparse_box_exits_cleanly(self):
+        # A 40x40 box is searched 1,600 cells deep; this once raised RecursionError.
+        assert go(
+            "enum", "--sats", "F02ac.c", "--max-rows", "40", "--max-cols", "40",
+            "--max-cells", "1",
+        ) == (0, "c\n")
+
     def test_budget_exhaustion_marks_partial_output(self):
         code, text = go(
             "enum", "--sats", "F02ac.c", "--max-cells", "4", "--node-budget", "20"

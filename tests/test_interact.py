@@ -175,14 +175,9 @@ class TestProtocolScenario:
                 Pair(ds(), s13),
             ),
             ("REnd", 1): (Pair(Num(3), Sym("end")), Pair(ds(), s13), Sym("OK"), s13),
-            ("RKR", 0): (
-                pr(3, "c"),
-                Pair(ds(Num(2), Num(3)), s1),
-                Num(2),
-                Pair(ds(Num(2)), s13),
-            ),
+            ("RKR", 0): (pr(3, "c"), Pair(ds(Num(2)), s1), Num(2), Pair(ds(), s13)),
             ("RKR", 1): (pr(2, "b"), Pair(ds(Num(2)), s13), Sym("OK"), s123),
-            ("RKR", 2): (pr(2, "?"), Pair(ds(Num(2)), s1), Num(2), Pair(ds(Num(2)), s1)),
+            ("RKR", 2): (pr(2, "?"), Pair(ds(), s13), Num(2), Pair(ds(), s13)),
             ("RKR", 3): (pr(2, "b"), Pair(ds(), s13), Sym("OK"), s123),
             ("OS", 0): (EMPTY, s123, Sym("a"), ds(pr(2, "b"), pr(3, "c"))),
             ("SR", 0): (Num(2), s123, pr(2, "b"), s123),
@@ -204,11 +199,6 @@ class TestProtocolScenario:
         )
         with pytest.raises(ValueError):
             validate_scenario(bad, LIB)
-
-    def test_parallel_validation_matches_serial(self):
-        assert validate_scenario(SCENARIO, LIB, jobs=4) == validate_scenario(
-            SCENARIO, LIB
-        )
 
 
 def _mutate(s: DataScenario, pos, side: str, value) -> DataScenario:
@@ -309,3 +299,61 @@ class TestExecution:
                 LIB, self.LAYOUT, self.WEST, self.NORTH, SCENARIO.wiring,
                 node_budget=3,
             )
+
+    def test_long_run_does_not_recurse(self):
+        # 1,500 cells deep, past the recursion limit.
+        layout = {(r, 0): "0" for r in range(1500)}
+        redo = complete_scenario(LIB, layout)
+        assert redo is not None
+        assert len(redo.cells) == 1500
+
+
+def _protocol_run(stream: str, corrupted: set[int], resends: list[str]):
+    """Complete a protocol layout shaped like the worked scenario.
+
+    One row per datum (SK, CN for the corrupted indices or CY, RK), the
+    end-of-stream row (SEnd, CY, REnd), one re-send row (SR, channel,
+    RKR) per entry of `resends` naming its channel module, the End row,
+    and the OS column below it. Returns the OS column's output.
+    """
+    layout, west, wires = {}, {}, []
+    for r, x in enumerate(stream):
+        layout[(r, 0)], layout[(r, 1)], layout[(r, 2)] = (
+            "SK", "CN" if r + 1 in corrupted else "CY", "RK"
+        )
+        west[(r, 0)] = Sym(x)
+    r = len(stream)
+    layout[(r, 0)], layout[(r, 1)], layout[(r, 2)] = "SEnd", "CY", "REnd"
+    for channel in resends:
+        wires.append(((r, 2), (r + 1, 0)))
+        r += 1
+        layout[(r, 0)], layout[(r, 1)], layout[(r, 2)] = "SR", channel, "RKR"
+    wires.append(((r, 2), (r + 1, 0)))
+    r += 1
+    layout[(r, 0)], layout[(r, 1)] = "End", "0"
+    for k in range(len(stream)):
+        layout[(r + k, 2)] = "OS"
+    north = {(0, 0): Pair(Num(0), ds()), (0, 2): Pair(ds(), ds())}
+    redo = complete_scenario(LIB, layout, west, north, wires)
+    if redo is None:
+        return None
+    assert validate_scenario(redo, LIB).valid
+    return "".join(
+        cell.east.name for _, _, cell in redo.cells if cell.module == "OS"
+    )
+
+
+class TestRecovery:
+    def test_one_corrupted_datum(self):
+        assert _protocol_run("abc", {2}, ["CY"]) == "abc"
+        assert _protocol_run("abcd", {4}, ["CY"]) == "abcd"
+
+    def test_two_corrupted_data(self):
+        assert _protocol_run("abc", {1, 2}, ["CY", "CY"]) == "abc"
+
+    def test_three_corrupted_data(self):
+        assert _protocol_run("abcd", {1, 3, 4}, ["CY", "CY", "CY"]) == "abcd"
+
+    def test_resent_datum_corrupted_again(self):
+        assert _protocol_run("abc", {2}, ["CN", "CY"]) == "abc"
+        assert _protocol_run("abc", {1, 3}, ["CY", "CN", "CY"]) == "abc"
