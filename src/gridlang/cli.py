@@ -37,6 +37,7 @@ from .equations import (
 )
 from .interact import (
     builtin_protocol,
+    builtin_protocol_library,
     complete_scenario,
     format_report,
     parse_module_library,
@@ -102,6 +103,17 @@ def _resolve_bounds(args: argparse.Namespace) -> Bounds:
         raise _usage(str(exc))
 
 
+def _read(path: str, what: str, parse):
+    """Parse a file, turning a read or parse failure into a usage error."""
+    try:
+        with open(path) as fh:
+            return parse(fh.read())
+    except OSError as exc:
+        raise _usage(f"cannot read {path!r}: {exc}")
+    except ValueError as exc:
+        raise _usage(f"bad {what} {path!r}: {exc}")
+
+
 def _load_sats(value: str) -> TileSystem:
     try:
         if os.path.exists(value):
@@ -129,13 +141,7 @@ def _load_system(args: argparse.Namespace) -> tuple[EquationSystem, str]:
         if system == "f02ac-general":
             return builtin_f02ac(general=True), F02AC_TARGET
         raise _usage(f"unknown --system {system!r}; builtins: {', '.join(_BUILTIN_SYSTEMS)}")
-    try:
-        with open(path) as fh:
-            sys_ = parse_system(fh.read())
-    except OSError as exc:
-        raise _usage(f"cannot read {path!r}: {exc}")
-    except (ParseError, ValueError) as exc:
-        raise _usage(f"bad equation file {path!r}: {exc}")
+    sys_ = _read(path, "equation file", parse_system)
     return sys_, sys_.equations[-1][0]
 
 
@@ -275,28 +281,14 @@ def _cmd_diff(args: argparse.Namespace, out: TextIO) -> int:
 
 def _load_protocol(args: argparse.Namespace):
     if args.modules == "protocol":
-        lib, scenario = builtin_protocol()
-        if args.scenario is not None:
-            with open(args.scenario) as fh:
-                scenario = parse_scenario(fh.read())
-        return lib, scenario
-    try:
-        with open(args.modules) as fh:
-            lib = parse_module_library(fh.read())
-    except OSError as exc:
-        raise _usage(f"cannot read {args.modules!r}: {exc}")
-    except ValueError as exc:
-        raise _usage(f"bad module library {args.modules!r}: {exc}")
-    if args.scenario is None:
-        raise _usage("--scenario is required with a module library file")
-    try:
-        with open(args.scenario) as fh:
-            scenario = parse_scenario(fh.read())
-    except OSError as exc:
-        raise _usage(f"cannot read {args.scenario!r}: {exc}")
-    except ValueError as exc:
-        raise _usage(f"bad scenario {args.scenario!r}: {exc}")
-    return lib, scenario
+        if args.scenario is None:
+            return builtin_protocol()
+        lib = builtin_protocol_library()
+    else:
+        lib = _read(args.modules, "module library", parse_module_library)
+        if args.scenario is None:
+            raise _usage("--scenario is required with a module library file")
+    return lib, _read(args.scenario, "scenario", parse_scenario)
 
 
 def _cmd_validate(args: argparse.Namespace, out: TextIO) -> int:

@@ -332,11 +332,6 @@ def parse_word_text(text: str) -> Word:
     return Word(tuple(cells))
 
 
-def word_records(w: Word) -> list[dict[str, object]]:
-    """Structured record form used for machine output."""
-    return [{"row": r, "col": c, "letter": letter} for r, c, letter in w.cells]
-
-
 def word_sort_key(w: Word) -> tuple[int, str]:
     """Stable listing order: fewest cells first, then row-major rendering."""
     return (len(w.cells), render_ascii(normalize(w)).replace("\n", "/"))

@@ -13,6 +13,12 @@ shared border must carry identical data on both sides, and every wire
 must carry identical data end to end. Reports list each violation with
 the coordinates of the cells it touches.
 
+Scenario text writes every shared border twice and repeats each datum
+kept so far in every later set, so parsing shares equal data: within
+one parse_scenario call, each distinct border field and set item is
+parsed and evaluated once, and every copy of it in the text comes back
+as the same object.
+
 The communication protocol from the problem domain ships as a builtin
 library and scenario. Its SR and End modules are reconstructions (the
 original presents them only inside the scenario) and are flagged as
@@ -633,20 +639,55 @@ def complete_scenario(
 # Text formats
 
 _TOKEN = re.compile(r"->|!=|[A-Za-z][A-Za-z0-9_]*|\d+|[?_<>|(){},^+\-=:.]")
+# A character that is neither blank nor the start of a token.
+_BAD_CHAR = re.compile(r"[^\sA-Za-z\d_?<>|(){},^+\-=:.!]|!(?!=)")
 _KEYWORDS = frozenset({"module", "cell", "wire", "where", "in", "min", "reconstructed"})
+_MAX_NESTING = 100
+# Keeps a line's brackets, as '(' and ')', and drops its other ASCII.
+_BRACKETS = str.maketrans(
+    "{}", "()", "".join(c for c in map(chr, range(128)) if c not in "(){}")
+)
+_NOT_BRACKET = re.compile(r"[^()]+")
+_OPENERS = frozenset("({")
+_ITEM_ENDS = frozenset(",})")
+
+
+def _nesting(line: str) -> int:
+    """A bound on how deep the expressions of a line nest.
+
+    Brackets nest the parser and each '+' or '-' nests the expression it
+    builds, so the bound is the depth of the brackets, counting one left
+    unclosed as open to the end of the line, plus the operators. Keeping
+    it small keeps parsing, evaluation and hashing of the line's data
+    within Python's recursion limit.
+    """
+    brackets = _NOT_BRACKET.sub("", line.translate(_BRACKETS))
+    depth = 0
+    while "()" in brackets and depth <= _MAX_NESTING:
+        brackets = brackets.replace("()", "")
+        depth += 1
+    operators = line.count("+") + line.count("-") - line.count("->")
+    return depth + brackets.count("(") + operators
 
 
 class _Tokens:
-    def __init__(self, line: str) -> None:
-        self.items = []
-        pos = 0
-        for m in _TOKEN.finditer(line):
-            if line[pos : m.start()].strip():
-                raise ValueError(f"bad character in {line!r}")
-            self.items.append(m.group())
-            pos = m.end()
-        if line[pos:].strip():
+    """The tokens of one line and a cursor into them.
+
+    `shared` is parse_scenario's table of data parsed so far: it maps a
+    run of tokens (a border field or a set item) to the literal that
+    run grounds to. Module libraries have no table.
+    """
+
+    def __init__(
+        self, line: str, shared: Optional[dict[tuple[str, ...], Lit]] = None
+    ) -> None:
+        if _BAD_CHAR.search(line):
             raise ValueError(f"bad character in {line!r}")
+        self.items = _TOKEN.findall(line)
+        if _nesting(line) > _MAX_NESTING:
+            raise ValueError(f"nesting deeper than {_MAX_NESTING} in {line!r}")
+        self.line = line
+        self.shared = shared
         self.at = 0
 
     def peek(self) -> Optional[str]:
@@ -660,6 +701,47 @@ class _Tokens:
             raise ValueError(f"expected {expected!r}, got {tok!r}")
         self.at += 1
         return tok
+
+
+def _parse_shared(t: _Tokens, end: int, parse) -> DExpr:
+    """Parse the tokens up to `end` once per distinct run in a scenario.
+
+    A run that `parse` consumes exactly is grounded and remembered, so
+    an equal run later in the scenario returns the same literal without
+    parsing. A run it does not consume is left to the caller to reject.
+    """
+    if end == t.at:
+        # An empty run is a blank field but no set item: never remembered.
+        return parse(t)
+    key = tuple(t.items[t.at : end])
+    lit = t.shared.get(key)
+    if lit is not None:
+        t.at = end
+        return lit
+    e = parse(t)
+    if t.at != end:
+        return e
+    lit = t.shared[key] = Lit(_ground(e, t.line))
+    return lit
+
+
+def _parse_item(t: _Tokens) -> DExpr:
+    """A set item, which ends at a ',', '}' or ')' outside its brackets."""
+    if t.shared is None:
+        return _parse_sum(t)
+    items, depth = t.items, 0
+    for end in range(t.at, len(items)):
+        tok = items[end]
+        if tok in _OPENERS:
+            depth += 1
+        elif tok in _ITEM_ENDS:
+            if depth == 0:
+                break
+            if tok != ",":
+                depth -= 1
+    else:
+        end = len(items)
+    return _parse_shared(t, end, _parse_sum)
 
 
 def _parse_atom(t: _Tokens) -> DExpr:
@@ -687,13 +769,13 @@ def _parse_atom(t: _Tokens) -> DExpr:
     if tok == "{":
         items: list[DExpr] = []
         if t.peek() != "}":
-            items.append(_parse_sum(t))
+            items.append(_parse_item(t))
             while t.peek() == ",":
-                t.take(",")
-                items.append(_parse_sum(t))
+                t.at += 1
+                items.append(_parse_item(t))
         t.take("}")
         return SetDisplay(tuple(items))
-    if re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", tok):
+    if tok[0].isalpha():
         if tok in _KEYWORDS:
             raise ValueError(f"keyword {tok!r} cannot name data")
         if tok in _VAR_NAMES:
@@ -731,17 +813,28 @@ def _parse_field(t: _Tokens) -> DExpr:
     return first
 
 
+def _parse_border(t: _Tokens, delimiter: str) -> DExpr:
+    """A border field, which ends at `delimiter` ('|' or '>')."""
+    if t.shared is None:
+        return _parse_field(t)
+    try:
+        end = t.items.index(delimiter, t.at)
+    except ValueError:
+        end = len(t.items)
+    return _parse_shared(t, end, _parse_field)
+
+
 def _parse_borders(t: _Tokens) -> tuple[DExpr, DExpr, DExpr, DExpr]:
     t.take("<")
-    west = _parse_field(t)
+    west = _parse_border(t, "|")
     t.take("|")
-    north = _parse_field(t)
+    north = _parse_border(t, ">")
     t.take(">")
     t.take("->")
     t.take("<")
-    east = _parse_field(t)
+    east = _parse_border(t, "|")
     t.take("|")
-    south = _parse_field(t)
+    south = _parse_border(t, ">")
     t.take(">")
     return west, north, east, south
 
@@ -848,14 +941,19 @@ def _parse_pos(t: _Tokens) -> Pos:
 
 
 def parse_scenario(text: str) -> DataScenario:
-    """Cell and wire lines; borders must be concrete data."""
+    """Cell and wire lines; borders must be concrete data.
+
+    Equal border fields and equal set items are parsed once and shared
+    between the cells that carry them.
+    """
     cells: list[tuple[int, int, DataCell]] = []
     wires: list[tuple[Pos, Pos]] = []
+    shared: dict[tuple[str, ...], Lit] = {}
     for raw in text.splitlines():
         line = raw.split("--", 1)[0].strip()
         if not line:
             continue
-        t = _Tokens(line)
+        t = _Tokens(line, shared)
         kind = t.take()
         if kind == "cell":
             r, c = _parse_pos(t)
@@ -920,6 +1018,11 @@ def builtin_protocol() -> tuple[tuple[DataModule, ...], DataScenario]:
     in index order. The SR and End modules are reconstructions.
     """
     return (
-        parse_module_library(corpus_text("protocol-modules.imod")),
+        builtin_protocol_library(),
         parse_scenario(corpus_text("protocol-scenario.imod")),
     )
+
+
+def builtin_protocol_library() -> tuple[DataModule, ...]:
+    """The module library of builtin_protocol alone."""
+    return parse_module_library(corpus_text("protocol-modules.imod"))

@@ -45,3 +45,22 @@ def random_restriction(rng: random.Random, depth: int = 2) -> Restriction:
         items = tuple(random_restriction(rng, depth - 1) for _ in range(2))
         return Or(items)
     return Comparison(random_selector(rng), rng.choice("=<>#"), random_selector(rng))
+
+
+def random_edits(rng: random.Random, text: str, alphabet: str, edits: int = 3) -> str:
+    """Apply 1 to `edits` random insertions, replacements, deletions or
+    truncations of single characters drawn from `alphabet`."""
+    chars = list(text)
+    for _ in range(rng.randint(1, edits)):
+        i = rng.randrange(len(chars) + 1)
+        op = rng.randrange(4)
+        if op == 0:
+            chars.insert(i, rng.choice(alphabet))
+        elif op == 3:
+            del chars[i:]
+        elif i < len(chars):
+            if op == 1:
+                chars[i] = rng.choice(alphabet)
+            else:
+                del chars[i]
+    return "".join(chars)

@@ -186,6 +186,25 @@ class TestValidate:
         doc = json.loads(text)
         assert doc == {"cells_checked": 20, "valid": True, "violations": []}
 
+    def test_missing_scenario_file_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "missing.imod"
+        code, text = go("validate", "--modules", "protocol", "--scenario", str(path))
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err.startswith("error: cannot read")
+
+    def test_malformed_scenario_file_is_a_usage_error(self, tmp_path, capsys):
+        deep = "(" * 2000 + "a" + ")" * 2000
+        for bad in (
+            "cell (0,0) 0: <c | d!> -> <_ | _>\n",
+            "cell (0,0) 0: <_ | _> -> <_ | _>\ncell (0,0) 0: <_ | _> -> <_ | _>\n",
+            f"cell (0,0) 0: <{deep} | b> -> <_ | _>\n",
+        ):
+            path = tmp_path / "bad.imod"
+            path.write_text(bad)
+            code, text = go("validate", "--modules", "protocol", "--scenario", str(path))
+            assert (code, text) == (2, ""), bad[:40]
+            assert capsys.readouterr().err.startswith("error: bad scenario"), bad[:40]
+
 
 class TestProjectNfa:
     def test_vertical_chain_system(self):

@@ -21,7 +21,6 @@ from gridlang.grid import (
     render_ascii,
     select,
     translate,
-    word_records,
     word_sort_key,
 )
 
@@ -293,12 +292,6 @@ class TestRenderAndText:
     def test_parse_rejects_ragged_grid(self):
         with pytest.raises(ValueError):
             parse_word_text("2 2\na.\n.bb\n")
-
-    def test_records(self):
-        assert word_records(W("ab")) == [
-            {"row": 0, "col": 0, "letter": "a"},
-            {"row": 0, "col": 1, "letter": "b"},
-        ]
 
     def test_sort_key_orders_by_size_then_shape(self):
         words = [W("ba"), W("a"), W("ab")]

@@ -1,5 +1,7 @@
 """Data modules, border data, scenario validation, protocol corpus."""
 
+import random
+
 import pytest
 
 from gridlang.grid import BudgetExhausted
@@ -27,6 +29,8 @@ from gridlang.interact import (
     parse_scenario,
     validate_scenario,
 )
+
+from conftest import random_edits
 
 
 def pr(i: int, x: str) -> Pair:
@@ -274,6 +278,100 @@ class TestScenarioShape:
         assert parse_module_library(format_module_library(LIB)) == LIB
 
 
+class TestParsing:
+    # Characters of the scenario and module syntax, a blank, a line
+    # break, and '~', which no token uses.
+    ALPHABET = "()<>{}|,^+-=:._?!ab09xU \n~"
+    CASES = 1500
+
+    def test_deep_brackets_are_rejected(self):
+        deep = "(" * 2000 + "a" + ")" * 2000
+        with pytest.raises(ValueError, match="nesting"):
+            parse_scenario(f"cell (0,0) 0: <{deep} | b> -> <_ | _>")
+        with pytest.raises(ValueError, match="nesting"):
+            parse_module_library(f"module Q: <{deep} | _> -> <_ | _>")
+
+    def test_long_operator_chains_are_rejected(self):
+        chain = "+".join(["{1}"] * 2000)
+        with pytest.raises(ValueError, match="nesting"):
+            parse_scenario(f"cell (0,0) 0: <{chain} | b> -> <_ | _>")
+        with pytest.raises(ValueError, match="nesting"):
+            parse_module_library(f"module Q: <{chain} | _> -> <_ | _>")
+
+    def test_nesting_bound_is_one_hundred(self):
+        def cell(west: str) -> str:
+            return f"cell (0,0) 0: <{west} | _> -> <_ | _>"
+
+        deepest = parse_scenario(cell("{" * 100 + "1" + "}" * 100))
+        assert parse_scenario(format_scenario(deepest)) == deepest
+        assert not validate_scenario(deepest, LIB).valid
+        with pytest.raises(ValueError, match="nesting"):
+            parse_scenario(cell("{" * 101 + "1" + "}" * 101))
+        # 99 operators between sets one bracket deep, then 100.
+        assert parse_scenario(cell("+".join(["{1}"] * 100)))
+        with pytest.raises(ValueError, match="nesting"):
+            parse_scenario(cell("+".join(["{1}"] * 101)))
+
+    def test_edited_scenarios_parse_or_raise(self):
+        rng = random.Random(4101)
+        base = format_scenario(SCENARIO)
+        parsed = 0
+        for _ in range(self.CASES):
+            text = random_edits(rng, base, self.ALPHABET)
+            try:
+                s = parse_scenario(text)
+            except ValueError:
+                continue
+            parsed += 1
+            assert parse_scenario(format_scenario(s)) == s, text
+        assert parsed > 0
+
+    def test_edited_libraries_parse_or_raise(self):
+        rng = random.Random(4102)
+        base = format_module_library(LIB)
+        for _ in range(self.CASES):
+            try:
+                parse_module_library(random_edits(rng, base, self.ALPHABET))
+            except ValueError:
+                pass
+
+    def test_truncated_cell_line_is_rejected(self):
+        # Earlier lines fill the table of shared data, so the truncated
+        # line meets both remembered and new fields and items.
+        lines = format_scenario(SCENARIO).splitlines()
+        k = max(range(len(lines)), key=lambda i: len(lines[i]))
+        head = "\n".join(lines[:k]) + "\n"
+        for end in range(1, len(lines[k])):
+            with pytest.raises(ValueError):
+                parse_scenario(head + lines[k][:end])
+        assert parse_scenario(head + lines[k]).cell_map.keys() == {
+            (r, c) for r, c, _ in SCENARIO.cells[: k + 1]
+        }
+
+    def test_equal_borders_parse_to_one_object(self):
+        stream = "abcdefghklmopqrstuvwzabcdefghk"
+        done = complete_scenario(LIB, *_protocol_layout(stream, {3, 17}, ["CY", "CY"]))
+        parsed = parse_scenario(format_scenario(done))
+        assert parsed == done
+        cmap = parsed.cell_map
+        for (r, c), cell in cmap.items():
+            if (r + 1, c) in cmap:
+                assert cell.south is cmap[(r + 1, c)].north, (r, c)
+            if (r, c + 1) in cmap:
+                assert cell.east is cmap[(r, c + 1)].west, (r, c)
+        for src, dst in parsed.wiring:
+            assert cmap[src].east is cmap[dst].west, (src, dst)
+        # Each kept datum is one object in every set that holds it.
+        kept = {}
+        for cell in cmap.values():
+            for border in (cell.west, cell.north, cell.east, cell.south):
+                parts = (border.first, border.second) if isinstance(border, Pair) else (border,)
+                for part in parts:
+                    for item in part.items if isinstance(part, DataSet) else ():
+                        assert kept.setdefault(item, item) is item, item
+        assert len(kept) >= len(stream)
+
+
 class TestExecution:
     LAYOUT = {(r, c): cell.module for r, c, cell in SCENARIO.cells}
     WEST = {(0, 0): Sym("a"), (1, 0): Sym("b"), (2, 0): Sym("c")}
@@ -308,13 +406,14 @@ class TestExecution:
         assert len(redo.cells) == 1500
 
 
-def _protocol_run(stream: str, corrupted: set[int], resends: list[str]):
-    """Complete a protocol layout shaped like the worked scenario.
+def _protocol_layout(stream: str, corrupted: set[int], resends: list[str]):
+    """A protocol layout shaped like the worked scenario.
 
     One row per datum (SK, CN for the corrupted indices or CY, RK), the
     end-of-stream row (SEnd, CY, REnd), one re-send row (SR, channel,
     RKR) per entry of `resends` naming its channel module, the End row,
-    and the OS column below it. Returns the OS column's output.
+    and the OS column below it. Returns complete_scenario's arguments
+    after the library: layout, west and north inputs, and wires.
     """
     layout, west, wires = {}, {}, []
     for r, x in enumerate(stream):
@@ -334,7 +433,12 @@ def _protocol_run(stream: str, corrupted: set[int], resends: list[str]):
     for k in range(len(stream)):
         layout[(r + k, 2)] = "OS"
     north = {(0, 0): Pair(Num(0), ds()), (0, 2): Pair(ds(), ds())}
-    redo = complete_scenario(LIB, layout, west, north, wires)
+    return layout, west, north, wires
+
+
+def _protocol_run(stream: str, corrupted: set[int], resends: list[str]):
+    """Complete a protocol layout; returns the OS column's output."""
+    redo = complete_scenario(LIB, *_protocol_layout(stream, corrupted, resends))
     if redo is None:
         return None
     assert validate_scenario(redo, LIB).valid
