@@ -30,8 +30,8 @@ the primed golf kinds, with an optional extremeness prefix 'x' or
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Optional, Union
 
 from .grid import (
@@ -272,9 +272,11 @@ def uses_extremeness(r: Restriction) -> bool:
 # Evaluation
 
 
-@lru_cache(maxsize=None)
 def _selected_keys(w: Word, sel: Selector) -> frozenset[Key]:
-    return frozenset(el.key for el in select(w, sel))
+    keys = w.selected_keys.get(sel)
+    if keys is None:
+        keys = w.selected_keys[sel] = frozenset(el.key for el in select(w, sel))
+    return keys
 
 
 def _comparison_holds(
@@ -405,18 +407,17 @@ def _placements(
     require_contact: bool,
 ) -> frozenset[Word]:
     occ_v = v.positions
-    inflated = {
-        (pr + dr, pc + dc)
-        for pr, pc in occ_v
-        for dr in (-1, 0, 1)
-        for dc in (-1, 0, 1)
-    }
     out: set[Word] = set()
     for dr, dc in offsets:
         placed = [(pr + dr, pc + dc) for pr, pc, _ in w.cells]
         if any(p in occ_v for p in placed):
             continue  # overlap
-        if require_contact and not any(p in inflated for p in placed):
+        if require_contact and not any(
+            (pr + a, pc + b) in occ_v
+            for pr, pc in placed
+            for a in (-1, 0, 1)
+            for b in (-1, 0, 1)
+        ):
             continue  # closed regions never touch
         if not _holds_at(r, v, w, dr, dc):
             continue
@@ -427,11 +428,14 @@ def _placements(
     return frozenset(out)
 
 
-@lru_cache(maxsize=None)
 def _contact_results(r: Restriction, v: Word, w: Word) -> frozenset[Word]:
     cands = _candidate_offsets(r, v, w)
-    offsets = _contact_window(v, w) if cands is None else cands
-    return _placements(r, v, w, offsets, require_contact=True)
+    if cands is None:
+        return _placements(r, v, w, _contact_window(v, w), require_contact=True)
+    # Candidates come from a comparison on the conjunction spine, and when
+    # it holds the two placed contours share an element, hence a lattice
+    # point: contact needs no separate test.
+    return _placements(r, v, w, cands, require_contact=False)
 
 
 def compose_words(
@@ -464,13 +468,21 @@ def compose_langs(
     bounds: Bounds,
     budget: Optional[Budget] = None,
 ) -> frozenset[Word]:
-    """Pointwise composition of two finite languages, filtered to bounds."""
+    """Pointwise composition of two finite languages, filtered to bounds.
+
+    Every pair is charged to the budget. A pair whose cells together
+    exceed `bounds.max_cells` is not placed: placed cells are disjoint,
+    so every result would have that many cells and fail the bounds.
+    """
+    right = sorted((normalize(w) for w in l2), key=len)
+    sizes = [len(w) for w in right]
     out: set[Word] = set()
     for v in l1:
-        for w in l2:
-            if budget is not None:
-                budget.charge()
-            for res in _contact_results(r, normalize(v), normalize(w)):
+        v = normalize(v)
+        if budget is not None:
+            budget.charge(len(right))
+        for w in right[: bisect_right(sizes, bounds.max_cells - len(v))]:
+            for res in _contact_results(r, v, w):
                 if bounds.admits(res):
                     out.add(res)
     return frozenset(out)
@@ -481,6 +493,7 @@ def star(
     r: Restriction,
     bounds: Bounds,
     budget: Optional[Budget] = None,
+    closed: frozenset[Word] = frozenset(),
 ) -> frozenset[Word]:
     """Least language containing l and closed under self-composition.
 
@@ -488,15 +501,19 @@ def star(
     restriction inspects extreme cells of a composite operand, and only
     the former makes the operator idempotent. The bounded universe is
     finite and composition is monotone, so the loop reaches the least
-    fixed point. Each round only composes pairs touching the frontier;
-    older pairs were already exhausted.
+    fixed point. Each round composes only the pairs that touch the
+    frontier, each pair once; older pairs were already exhausted.
+
+    `closed` resumes an earlier closure: it must be the star of some
+    subset of l under the same restriction and bounds, so its own pairs
+    are exhausted and only l's words outside it start the frontier.
     """
     base = frozenset(normalize(v) for v in l if bounds.admits(v))
-    known: set[Word] = set(base)
-    frontier: frozenset[Word] = base
+    frontier = base - closed
+    known: set[Word] = set(closed) | frontier
     while frontier:
         grown = set(compose_langs(frontier, known, r, bounds, budget))
-        grown |= compose_langs(known, frontier, r, bounds, budget)
+        grown |= compose_langs(known - frontier, frontier, r, bounds, budget)
         frontier = frozenset(grown - known)
         known |= frontier
     return frozenset(known)

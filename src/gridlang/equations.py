@@ -1,10 +1,15 @@
 """Bounded least-fixed-point solving of recursive equation systems.
 
 A system is solved by round-based iteration from the all-empty
-environment: every round re-evaluates every right-hand side against the
+environment: every round evaluates every right-hand side against the
 previous round's sets, so the result does not depend on equation order.
 All operators are monotone and the bounded universe of words is finite,
 which makes the iteration reach the least fixed point within bounds.
+
+Rounds are semi-naive (Bancilhon and Ramakrishnan, 1986): each
+expression node keeps its value from the last completed round, and a
+round composes only the pairs that involve a word new since then. The
+values and the number of rounds are those of full re-evaluation.
 
 The node budget from the bounds is shared across the entire solve.
 When it runs out mid-round, the last completed round is returned with
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable
 
-from .expr import EquationSystem, eval_expr, parse_system
+from .expr import EquationSystem, Rounds, eval_expr, parse_system
 from .grid import Bounds, Budget, BudgetExhausted, Word, normalize, word_sort_key
 from .tiling import LanguageDiff
 
@@ -47,15 +52,17 @@ def solve(sys: EquationSystem, bounds: Bounds) -> Solution:
     """
     budget = Budget(bounds.node_budget)
     env: dict[str, frozenset[Word]] = {name: frozenset() for name in sys.names}
+    rounds = Rounds()
     iterations = 0
     while True:
         try:
             new = {
-                name: eval_expr(rhs, env, bounds, budget)
+                name: eval_expr(rhs, env, bounds, budget, rounds)
                 for name, rhs in sys.equations
             }
         except BudgetExhausted:
             return Solution(values=env, iterations=iterations, saturated=False)
+        rounds.commit()
         iterations += 1
         if new == env:
             return Solution(values=new, iterations=iterations, saturated=True)

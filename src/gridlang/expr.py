@@ -298,31 +298,74 @@ def format_system(sys: EquationSystem) -> str:
 # Evaluation
 
 
+class Rounds:
+    """Each expression node's language from the last completed round and
+    from the round in progress, keyed by the node.
+
+    Equal nodes share one entry, so a repeated subexpression is evaluated
+    once per round.
+    """
+
+    def __init__(self) -> None:
+        self.done: dict[Expr, frozenset[Word]] = {}
+        self.current: dict[Expr, frozenset[Word]] = {}
+
+    def commit(self) -> None:
+        """Make the round in progress the last completed one."""
+        self.done, self.current = self.current, {}
+
+
 def eval_expr(
     e: Expr,
     env: Mapping[str, Iterable[Word]],
     bounds: Bounds,
     budget: Optional[Budget] = None,
+    rounds: Optional[Rounds] = None,
 ) -> frozenset[Word]:
-    """Language of an expression under a variable environment, in bounds."""
+    """Language of an expression under a variable environment, in bounds.
+
+    Evaluation is semi-naive over `rounds`: a node that has a value from
+    the last completed round only adds what the words new since then
+    produce. A composition L (r) R adds the pairs of new left words with
+    all right words and of old left words with new right words, and a
+    star resumes from its old closure. This is exact when no variable
+    lost a word since that round, as in a solve's rounds from the empty
+    environment, since every operator is monotone. Without `rounds`,
+    evaluation is a first round, in which every word is new.
+    """
+    if rounds is None:
+        rounds = Rounds()
+    value = rounds.current.get(e)
+    if value is not None:
+        return value
+    old = rounds.done.get(e, frozenset())
     if isinstance(e, Atom):
-        return frozenset({Word(((0, 0, e.letter),))})
-    if isinstance(e, Var):
+        value = frozenset({Word(((0, 0, e.letter),))})
+    elif isinstance(e, Var):
         if e.name not in env:
             raise ValueError(f"unbound variable {e.name}")
-        return frozenset(
+        value = frozenset(
             w for w in map(normalize, env[e.name]) if bounds.admits(w)
         )
-    if isinstance(e, Sum):
-        out: frozenset[Word] = frozenset()
-        for item in e.items:
-            out |= eval_expr(item, env, bounds, budget)
-        return out
-    if isinstance(e, Compose):
-        left = eval_expr(e.left, env, bounds, budget)
-        right = eval_expr(e.right, env, bounds, budget)
-        return compose_langs(left, right, e.restriction, bounds, budget)
-    if isinstance(e, Star):
-        base = eval_expr(e.body, env, bounds, budget)
-        return star(base, e.restriction, bounds, budget)
-    raise TypeError(f"not an expression node: {e!r}")
+    elif isinstance(e, Sum):
+        value = frozenset().union(
+            *(eval_expr(item, env, bounds, budget, rounds) for item in e.items)
+        )
+    elif isinstance(e, Compose):
+        left = eval_expr(e.left, env, bounds, budget, rounds)
+        right = eval_expr(e.right, env, bounds, budget, rounds)
+        old_left = rounds.done.get(e.left, frozenset())
+        old_right = rounds.done.get(e.right, frozenset())
+        r = e.restriction
+        value = (
+            old
+            | compose_langs(left - old_left, right, r, bounds, budget)
+            | compose_langs(old_left, right - old_right, r, bounds, budget)
+        )
+    elif isinstance(e, Star):
+        base = eval_expr(e.body, env, bounds, budget, rounds)
+        value = star(base, e.restriction, bounds, budget, closed=old)
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    rounds.current[e] = value
+    return value

@@ -34,7 +34,7 @@ extremeness filter applied to the elements' inside cells.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 Pos = tuple[int, int]
 
@@ -70,6 +70,23 @@ _CORNER_PATTERNS: dict[str, tuple[tuple[Pos, ...], tuple[Pos, ...]]] = {
     "sw'": ((_TL, _BR), (_TR,)),
     "se'": ((_TR, _BL), (_TL,)),
 }
+
+
+# The cells around a lattice point in bit order of its occupancy mask, and
+# the corner kinds that sit at a point with each of the 16 masks.
+_AROUND_POINT = (_TL, _TR, _BL, _BR)
+
+
+def _corner_kinds(mask: int) -> tuple[str, ...]:
+    occupied = {off for bit, off in enumerate(_AROUND_POINT) if mask >> bit & 1}
+    return tuple(
+        kind
+        for kind, (inside, outside) in _CORNER_PATTERNS.items()
+        if occupied.issuperset(inside) and occupied.isdisjoint(outside)
+    )
+
+
+_CORNER_TABLE = tuple(_corner_kinds(mask) for mask in range(16))
 
 _AROUND8 = tuple(
     (dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1) if (dr, dc) != (0, 0)
@@ -190,6 +207,50 @@ class Word:
     def width(self) -> int:
         return self.bbox[3] - self.bbox[1] + 1
 
+    @cached_property
+    def contour(self) -> frozenset[Element]:
+        """Every side edge and corner point on the boundary, holes included."""
+        occ = self.positions
+        elems: set[Element] = set()
+        for r, c in occ:
+            if (r, c - 1) not in occ:
+                elems.add(Element("w", r, c))
+            if (r, c + 1) not in occ:
+                elems.add(Element("e", r, c + 1))
+            if (r - 1, c) not in occ:
+                elems.add(Element("n", r, c))
+            if (r + 1, c) not in occ:
+                elems.add(Element("s", r + 1, c))
+        # Corner candidates: the four lattice points around each occupied
+        # cell, each classified once by the occupancy of its four cells.
+        points = {(r + dr, c + dc) for r, c in occ for dr in (0, 1) for dc in (0, 1)}
+        for pr, pc in points:
+            mask = (
+                ((pr - 1, pc - 1) in occ)
+                | ((pr - 1, pc) in occ) << 1
+                | ((pr, pc - 1) in occ) << 2
+                | ((pr, pc) in occ) << 3
+            )
+            for kind in _CORNER_TABLE[mask]:
+                elems.add(Element(kind, pr, pc))
+        return frozenset(elems)
+
+    @cached_property
+    def extreme_cells(self) -> frozenset[Pos]:
+        """Cells with at most one occupied cell among their 8 neighbours."""
+        occ = self.positions
+        return frozenset(
+            (r, c)
+            for r, c in occ
+            if sum(((r + dr, c + dc) in occ) for dr, dc in _AROUND8) <= 1
+        )
+
+    @cached_property
+    def selected_keys(self) -> dict[Selector, frozenset[tuple[str, int, int]]]:
+        """Keys of the elements each selector picks, filled in by callers
+        as they first read them; freed with the word."""
+        return {}
+
     def __len__(self) -> int:
         return len(self.cells)
 
@@ -226,40 +287,14 @@ def hv_components(w: Word) -> list[frozenset[Pos]]:
     return sorted(out, key=min)
 
 
-@lru_cache(maxsize=None)
 def contour(w: Word) -> frozenset[Element]:
     """Every side edge and corner point on the boundary, holes included."""
-    occ = w.positions
-    elems: set[Element] = set()
-    for r, c in occ:
-        if (r, c - 1) not in occ:
-            elems.add(Element("w", r, c))
-        if (r, c + 1) not in occ:
-            elems.add(Element("e", r, c + 1))
-        if (r - 1, c) not in occ:
-            elems.add(Element("n", r, c))
-        if (r + 1, c) not in occ:
-            elems.add(Element("s", r + 1, c))
-    # Corner candidates: the four lattice points around each occupied cell.
-    points = {(r + dr, c + dc) for r, c in occ for dr in (0, 1) for dc in (0, 1)}
-    for pr, pc in points:
-        for kind, (inside, outside) in _CORNER_PATTERNS.items():
-            if all((pr + dr, pc + dc) in occ for dr, dc in inside) and not any(
-                (pr + dr, pc + dc) in occ for dr, dc in outside
-            ):
-                elems.add(Element(kind, pr, pc))
-    return frozenset(elems)
+    return w.contour
 
 
-@lru_cache(maxsize=None)
 def extreme_cells(w: Word) -> frozenset[Pos]:
     """Cells with at most one occupied cell among their 8 neighbours."""
-    occ = w.positions
-    return frozenset(
-        (r, c)
-        for r, c in occ
-        if sum(((r + dr, c + dc) in occ) for dr, dc in _AROUND8) <= 1
-    )
+    return w.extreme_cells
 
 
 def element_inside_cells(w: Word, el: Element) -> frozenset[Pos]:
@@ -280,13 +315,12 @@ def element_inside_cells(w: Word, el: Element) -> frozenset[Pos]:
     )
 
 
-@lru_cache(maxsize=None)
 def select(w: Word, sel: Selector) -> frozenset[Element]:
     """Contour elements of one kind, optionally filtered by extremeness."""
-    elems = frozenset(el for el in contour(w) if el.kind == sel.kind)
+    elems = frozenset(el for el in w.contour if el.kind == sel.kind)
     if sel.filter == FILTER_ANY:
         return elems
-    xs = extreme_cells(w)
+    xs = w.extreme_cells
     if sel.filter == FILTER_EXTREME:
         return frozenset(el for el in elems if element_inside_cells(w, el) <= xs)
     return frozenset(el for el in elems if not (element_inside_cells(w, el) & xs))

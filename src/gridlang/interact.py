@@ -111,7 +111,8 @@ def format_datum(d: Datum) -> str:
     if isinstance(d, Empty):
         return "_"
     if isinstance(d, Num):
-        return str(d.value)
+        # The parsers read no negative literal, so write one as a difference.
+        return str(d.value) if d.value >= 0 else f"0-{-d.value}"
     if isinstance(d, Sym):
         return d.name
     if isinstance(d, Pair):
@@ -119,7 +120,10 @@ def format_datum(d: Datum) -> str:
     if isinstance(d, DataSet):
         inner = ",".join(format_datum(i) for i in sorted(d.items, key=datum_key))
         return "{" + inner + "}"
-    return "^".join(format_datum(i) for i in d.items)
+    return "^".join(
+        f"({format_datum(i)})" if isinstance(i, Num) and i.value < 0 else format_datum(i)
+        for i in d.items
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -898,10 +902,19 @@ def format_dexpr(e: DExpr) -> str:
     if isinstance(e, SetDisplay):
         return "{" + ",".join(format_dexpr(i) for i in e.items) + "}"
     if isinstance(e, StreamExpr):
-        return "^".join(format_dexpr(i) for i in e.items)
+        # A bracketed item is the only way the parser nests a sum or a
+        # stream inside a stream.
+        return "^".join(
+            f"({format_dexpr(i)})" if isinstance(i, (BinOp, StreamExpr)) else format_dexpr(i)
+            for i in e.items
+        )
     if isinstance(e, MinOf):
         return f"min({format_dexpr(e.arg)})"
-    return f"{format_dexpr(e.left)}{e.op}{format_dexpr(e.right)}"
+    # Sums parse left to right, so a sum on the right needs its brackets.
+    right = format_dexpr(e.right)
+    if isinstance(e.right, BinOp):
+        right = f"({right})"
+    return f"{format_dexpr(e.left)}{e.op}{right}"
 
 
 def format_module_library(lib: Iterable[DataModule]) -> str:

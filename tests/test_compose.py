@@ -338,6 +338,26 @@ class TestComposeLangs:
             compose_langs(langs, langs, R("e=w"), Bounds(3, 3, 9), budget)
 
 
+    def test_tight_bounds_equal_wide_results_filtered(self):
+        rng = random.Random(3307)
+        wide = Bounds(7, 7, 18)
+        for _ in range(150):
+            l1 = {random_word(rng, 3) for _ in range(rng.randint(1, 3))}
+            l2 = {random_word(rng, 3) for _ in range(rng.randint(1, 3))}
+            r = random_restriction(rng)
+            every = compose_langs(l1, l2, r, wide)
+            rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+            tight = Bounds(rows, cols, rng.randint(1, rows * cols))
+            got = compose_langs(l1, l2, r, tight)
+            assert got == frozenset(w for w in every if tight.admits(w))
+
+    def test_pairs_too_large_to_fit_are_still_charged(self):
+        budget = Budget(3)
+        langs = {W("aa"), W("bb")}
+        with pytest.raises(BudgetExhausted):
+            compose_langs(langs, langs, R("e=w"), Bounds(3, 3, 3), budget)
+
+
 class TestStar:
     def test_horizontal_bars(self):
         got = star({W("0")}, R("e=w"), Bounds(1, 4, 4))
@@ -358,3 +378,31 @@ class TestStar:
         s = star(base, R("e=w"), bounds)
         assert frozenset(base) <= s
         assert star(s, R("e=w"), bounds) == s
+
+    def test_resuming_equals_a_fresh_closure(self):
+        rng = random.Random(3308)
+        bounds = Bounds(4, 4, 4)
+        checked = 0
+        for _ in range(300):
+            base = {random_word(rng, 2) for _ in range(rng.randint(1, 2))}
+            delta = {random_word(rng, 2) for _ in range(rng.randint(1, 2))}
+            r = random_restriction(rng)
+            try:
+                old = star(base, r, bounds, Budget(3000))
+                fresh = star(base | delta, r, bounds, Budget(20000))
+            except BudgetExhausted:
+                continue
+            checked += 1
+            assert star(base | delta, r, bounds, closed=old) == fresh
+        assert checked >= 200, checked
+
+    def test_each_pair_is_composed_once_per_round(self):
+        # From one base word the first round composes one pair, and a
+        # round with frontier F over known K composes |F|*|K| + (|K|-|F|)*|F|.
+        budget = Budget(1)
+        assert star({W("0")}, R("e=w"), Bounds(1, 1, 1), budget) == {W("0")}
+        assert budget.remaining == 0
+        budget = Budget(10_000)
+        star({W("0")}, R("e=w"), Bounds(1, 3, 3), budget)
+        # Rounds: F={0}: 1; F={00}, K=2: 2+1; F={000}, K=3: 3+2.
+        assert 10_000 - budget.remaining == 1 + 3 + 5

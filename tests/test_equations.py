@@ -2,11 +2,19 @@
 
 import random
 
-from gridlang.grid import Bounds, Word
+import gridlang.compose
+import gridlang.grid
+from gridlang.compose import compose_langs
+from gridlang.grid import Bounds, Word, normalize
 from gridlang.expr import (
     N2RE,
     X2RE,
+    Atom,
+    Compose,
     EquationSystem,
+    Star,
+    Sum,
+    Var,
     classify,
     eval_expr,
     parse_expr,
@@ -34,6 +42,7 @@ from gridlang.tiling import (
 )
 
 from conftest import W
+from test_properties import _random_system
 
 
 B5 = Bounds(5, 5, 25)
@@ -125,6 +134,105 @@ class TestSolve:
         forged = dict(sol.values)
         forged[SQUARES_TARGET] = sol.values[SQUARES_TARGET] | {W("xx")}
         assert not fixed_point_holds(sys, Solution(forged, sol.iterations, True), B5)
+
+
+def naive_eval(e, env, bounds):
+    """Full evaluation by definition: every pair of every operand, and a
+    star grown by composing its whole closure with itself."""
+    if isinstance(e, Atom):
+        return frozenset({Word(((0, 0, e.letter),))})
+    if isinstance(e, Var):
+        return frozenset(w for w in map(normalize, env[e.name]) if bounds.admits(w))
+    if isinstance(e, Sum):
+        return frozenset().union(*(naive_eval(i, env, bounds) for i in e.items))
+    if isinstance(e, Compose):
+        left = naive_eval(e.left, env, bounds)
+        right = naive_eval(e.right, env, bounds)
+        return compose_langs(left, right, e.restriction, bounds)
+    assert isinstance(e, Star)
+    closure = naive_eval(e.body, env, bounds)
+    while True:
+        grown = closure | compose_langs(closure, closure, e.restriction, bounds)
+        if grown == closure:
+            return closure
+        closure = grown
+
+
+def naive_rounds(sys, bounds):
+    """Jacobi rounds from the empty environment by full re-evaluation:
+    the environment after each round, the empty one first."""
+    env = {name: frozenset() for name in sys.names}
+    history = [env]
+    while True:
+        new = {name: naive_eval(rhs, env, bounds) for name, rhs in sys.equations}
+        history.append(new)
+        if new == env:
+            return history
+        env = new
+
+
+def assert_solve_matches_naive(sys, bounds, history=None):
+    """A saturated solve ends where the naive loop does, after as many
+    rounds; an unsaturated one returns one of the naive rounds."""
+    history = history or naive_rounds(sys, bounds)
+    sol = solve(sys, bounds)
+    assert sol.values == history[sol.iterations]
+    if sol.saturated:
+        assert sol.iterations == len(history) - 1
+    return sol
+
+
+class TestSemiNaive:
+    def test_builtins_match_the_naive_loop(self):
+        cases = [
+            (builtin_squares(), Bounds(5, 5, 25), 5),
+            (builtin_f02ac(), Bounds(4, 4, 8), None),
+            (builtin_f02ac(general=True), Bounds(4, 4, 8), None),
+            (parse_system(corpus_text("mutual.t2d")), Bounds(4, 4, 6), None),
+            (parse_system(corpus_text("diamonds.t2d")), Bounds(4, 4, 8), None),
+        ]
+        for sys, bounds, rounds in cases:
+            sol = assert_solve_matches_naive(sys, bounds)
+            assert sol.saturated
+            if rounds is not None:
+                assert sol.iterations == rounds
+
+    def test_pinned_round_counts_match_the_naive_loop(self):
+        cases = [
+            ("X = x", Bounds(5, 5, 25), 2),
+            ("X = x + X (e=w) a", Bounds(1, 3, 3), 4),
+        ]
+        for text, bounds, rounds in cases:
+            sol = assert_solve_matches_naive(parse_system(text), bounds)
+            assert sol.saturated and sol.iterations == rounds
+        general = builtin_f02ac(general=True)
+        assert solve(general, Bounds(6, 6, 12)).iterations == 15
+
+    def test_random_systems_match_the_naive_loop(self):
+        rng = random.Random(2305)
+        saturated = unsaturated = 0
+        for k in range(200):
+            sys = _random_system(rng)
+            bounds = Bounds(4, 4, 4)
+            history = naive_rounds(sys, bounds)
+            sol = assert_solve_matches_naive(sys, bounds, history)
+            assert sol.saturated
+            # Every fourth system again under a budget small enough that
+            # some solves stop early.
+            if k % 4 == 0:
+                tight = Bounds(4, 4, 4, node_budget=rng.randint(1, 60))
+                sol = assert_solve_matches_naive(sys, tight, history)
+                saturated += sol.saturated
+                unsaturated += not sol.saturated
+        assert saturated and unsaturated, (saturated, unsaturated)
+
+    def test_no_module_cache_is_left_after_a_solve(self):
+        solve(builtin_squares(), Bounds(5, 5, 25))
+        for module in (gridlang.grid, gridlang.compose):
+            cached = [
+                name for name, obj in vars(module).items() if hasattr(obj, "cache_info")
+            ]
+            assert not cached, (module.__name__, cached)
 
 
 class TestSquares:

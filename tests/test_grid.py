@@ -205,6 +205,70 @@ class TestCornerOracle:
             assert got == brute_corner_scan(w)
 
 
+def pattern_contour(w: Word):
+    """The contour as first defined: each side tested cell by cell, and
+    each corner point tested against the eight patterns spelt out."""
+    occ = w.positions
+    sides = set()
+    for r, c in occ:
+        if (r, c - 1) not in occ:
+            sides.add(Element("w", r, c))
+        if (r, c + 1) not in occ:
+            sides.add(Element("e", r, c + 1))
+        if (r - 1, c) not in occ:
+            sides.add(Element("n", r, c))
+        if (r + 1, c) not in occ:
+            sides.add(Element("s", r + 1, c))
+    return frozenset(sides | brute_corner_scan(w))
+
+
+def has_hole(w: Word) -> bool:
+    """True when some empty cell cannot reach outside the bounding box."""
+    occ = w.positions
+    r0, c0, r1, c1 = w.bbox
+    outside = {(r0 - 1, c0 - 1)}
+    todo = [(r0 - 1, c0 - 1)]
+    while todo:
+        r, c = todo.pop()
+        for nb in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+            if (
+                r0 - 1 <= nb[0] <= r1 + 1
+                and c0 - 1 <= nb[1] <= c1 + 1
+                and nb not in occ
+                and nb not in outside
+            ):
+                outside.add(nb)
+                todo.append(nb)
+    return (r1 - r0 + 3) * (c1 - c0 + 3) > len(outside) + len(occ)
+
+
+def has_diagonal_touch(w: Word) -> bool:
+    occ = w.positions
+    return any(
+        ((r + 1, c + dc) in occ) and (r, c + dc) not in occ and (r + 1, c) not in occ
+        for r, c in occ
+        for dc in (-1, 1)
+    )
+
+
+class TestContourTable:
+    def test_matches_the_pattern_definition(self):
+        rng = random.Random(1105)
+        holes = touches = 0
+        for size in (2, 3, 4, 5, 6):
+            for _ in range(200):
+                w = random_word(rng, size=size, letters="abc")
+                assert contour(w) == pattern_contour(w), render_ascii(w)
+                holes += has_hole(w)
+                touches += has_diagonal_touch(w)
+        assert holes >= 20 and touches >= 100, (holes, touches)
+
+    def test_contour_is_kept_on_the_word(self):
+        w = W("a.", "aa")
+        assert contour(w) is contour(w) is w.contour
+        assert extreme_cells(w) is w.extreme_cells
+
+
 class TestExtremeCells:
     def test_single_cell(self):
         assert extreme_cells(W("a")) == frozenset({(0, 0)})

@@ -372,6 +372,23 @@ class TestParsing:
         assert len(kept) >= len(stream)
 
 
+    def test_bracketed_right_operands_round_trip(self):
+        for line in (
+            "module Q: <U | V> -> <U-(V+U) | _>",
+            "module Q: <x^(i+1) | (U,V)> -> <U-(V-U) | (V+U)+V> where i in U-(V+U)",
+        ):
+            lib = parse_module_library(line)
+            assert parse_module_library(format_module_library(lib)) == lib, line
+
+    def test_negative_numbers_round_trip(self):
+        s = parse_scenario("cell (0,0) 0: <3-5 | _> -> <_ | _>")
+        assert s.cells[0][2].west == Num(-2)
+        assert parse_scenario(format_scenario(s)) == s
+        s = parse_scenario("cell (0,0) 0: <a^(1-3) | (1-4,{2-3})> -> <_ | _>")
+        assert s.cells[0][2].west == Stream((Sym("a"), Num(-2)))
+        assert parse_scenario(format_scenario(s)) == s
+
+
 class TestExecution:
     LAYOUT = {(r, c): cell.module for r, c, cell in SCENARIO.cells}
     WEST = {(0, 0): Sym("a"), (1, 0): Sym("b"), (2, 0): Sym("c")}
