@@ -28,13 +28,7 @@ from typing import Optional, Sequence, TextIO
 
 from .grid import Bounds, BudgetExhausted, Word, render_ascii, word_sort_key
 from .expr import EquationSystem, ParseError, eval_expr, parse_expr, parse_system
-from .equations import (
-    F02AC_TARGET,
-    SQUARES_TARGET,
-    builtin_f02ac,
-    builtin_squares,
-    solve,
-)
+from .equations import corpus_text, solve
 from .interact import (
     builtin_protocol,
     builtin_protocol_library,
@@ -128,21 +122,18 @@ _BUILTIN_SYSTEMS = ("squares", "f02ac", "f02ac-general")
 
 
 def _load_system(args: argparse.Namespace) -> tuple[EquationSystem, str]:
-    """The equation system plus its default target variable."""
+    """The equation system plus its default target, the last variable defined."""
     system = getattr(args, "system", None)
     path = getattr(args, "file", None)
     if (system is None) == (path is None):
         raise _usage("give exactly one of --system or --file")
-    if system is not None:
-        if system == "squares":
-            return builtin_squares(), SQUARES_TARGET
-        if system == "f02ac":
-            return builtin_f02ac(), F02AC_TARGET
-        if system == "f02ac-general":
-            return builtin_f02ac(general=True), F02AC_TARGET
+    if system is None:
+        sys_ = _read(path, "equation file", parse_system)
+    elif system in _BUILTIN_SYSTEMS:
+        sys_ = parse_system(corpus_text(f"{system}.t2d"))
+    else:
         raise _usage(f"unknown --system {system!r}; builtins: {', '.join(_BUILTIN_SYSTEMS)}")
-    sys_ = _read(path, "equation file", parse_system)
-    return sys_, sys_.equations[-1][0]
+    return sys_, sys_.names[-1]
 
 
 def _pick_var(sys_: EquationSystem, target: str, var: Optional[str]) -> str:
@@ -468,3 +459,7 @@ def run(argv: Sequence[str], out: Optional[TextIO] = None) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

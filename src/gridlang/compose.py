@@ -42,7 +42,6 @@ from .grid import (
     Budget,
     Selector,
     Word,
-    contour,
     normalize,
     select,
 )
@@ -51,6 +50,11 @@ Key = tuple[str, int, int]
 Offset = tuple[int, int]
 
 COMPARISON_OPS = ("=", "<", ">", "#")
+
+# Deepest nesting the restriction, expression and scenario parsers accept.
+# It keeps parsing, and every walk of the parsed tree, far inside Python's
+# recursion limit.
+MAX_NESTING = 100
 
 
 @dataclass(frozen=True)
@@ -113,6 +117,13 @@ class Cursor:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
+
+    def nest(self) -> None:
+        """Enter one more nested construct; callers restore `depth` on leaving."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.fail(f"nesting deeper than {MAX_NESTING}")
 
     def skip_ws(self) -> None:
         t = self.text
@@ -181,13 +192,18 @@ def _parse_and(cur: Cursor) -> Restriction:
 def _parse_unary(cur: Cursor) -> Restriction:
     cur.skip_ws()
     if cur.take("!"):
-        return Not(_parse_unary(cur))
+        cur.nest()
+        item = Not(_parse_unary(cur))
+        cur.depth -= 1
+        return item
     # '(!x)' opens a non-extreme selector, not a grouped subformula.
     if cur.startswith("(!x)"):
         return _parse_comparison(cur)
     if cur.peek() == "(":
         cur.take("(")
+        cur.nest()
         inner = parse_restriction_at(cur)
+        cur.depth -= 1
         cur.skip_ws()
         cur.expect(")")
         return inner
@@ -229,25 +245,27 @@ def parse_selector_at(cur: Cursor) -> Selector:
 
 
 def format_restriction(r: Restriction) -> str:
-    """Canonical text form; parsing it back yields an equal tree."""
+    """Canonical text form; parsing it back yields an equal tree.
+
+    Only the brackets the tree needs are written, so the text nests no
+    deeper than any text that parses to the same tree.
+    """
     if isinstance(r, Always):
         return "always"
     if isinstance(r, Comparison):
         return f"{r.left}{r.op}{r.right}"
     if isinstance(r, Not):
-        return "!" + _wrap(r.item)
+        return "!" + _wrap(r.item, (And, Or))
     if isinstance(r, And):
-        return "&".join(_wrap(i) for i in r.items)
+        return "&".join(_wrap(i, (And, Or)) for i in r.items)
     if isinstance(r, Or):
-        return "|".join(_wrap(i) for i in r.items)
+        return "|".join(_wrap(i, (Or,)) for i in r.items)
     raise TypeError(f"not a restriction: {r!r}")
 
 
-def _wrap(r: Restriction) -> str:
+def _wrap(r: Restriction, grouped: tuple[type, ...]) -> str:
     s = format_restriction(r)
-    if isinstance(r, (Comparison, And, Or)):
-        return "(" + s + ")"
-    return s
+    return "(" + s + ")" if isinstance(r, grouped) else s
 
 
 def restriction_selectors(r: Restriction) -> list[Selector]:
@@ -314,15 +332,6 @@ def _holds_at(r: Restriction, v: Word, w: Word, dr: int, dc: int) -> bool:
 def eval_restriction(r: Restriction, v: Word, w: Word) -> bool:
     """Evaluate with both words already placed in a common frame."""
     return _holds_at(r, v, w, 0, 0)
-
-
-def contact_elements(v: Word, w: Word) -> frozenset[Key]:
-    """Geometric locations shared by the two placed contours.
-
-    Informational only; no comparison operator reads this set.
-    """
-    keys_v = {el.key for el in contour(v)}
-    return frozenset(el.key for el in contour(w) if el.key in keys_v)
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +413,7 @@ def _placements(
     v: Word,
     w: Word,
     offsets: Iterable[Offset],
-    require_contact: bool,
+    check_contact: bool,
 ) -> frozenset[Word]:
     occ_v = v.positions
     out: set[Word] = set()
@@ -412,7 +421,7 @@ def _placements(
         placed = [(pr + dr, pc + dc) for pr, pc, _ in w.cells]
         if any(p in occ_v for p in placed):
             continue  # overlap
-        if require_contact and not any(
+        if check_contact and not any(
             (pr + a, pc + b) in occ_v
             for pr, pc in placed
             for a in (-1, 0, 1)
@@ -431,34 +440,16 @@ def _placements(
 def _contact_results(r: Restriction, v: Word, w: Word) -> frozenset[Word]:
     cands = _candidate_offsets(r, v, w)
     if cands is None:
-        return _placements(r, v, w, _contact_window(v, w), require_contact=True)
+        return _placements(r, v, w, _contact_window(v, w), check_contact=True)
     # Candidates come from a comparison on the conjunction spine, and when
     # it holds the two placed contours share an element, hence a lattice
     # point: contact needs no separate test.
-    return _placements(r, v, w, cands, require_contact=False)
+    return _placements(r, v, w, cands, check_contact=False)
 
 
-def compose_words(
-    v: Word,
-    w: Word,
-    r: Restriction,
-    *,
-    require_contact: bool = True,
-    window: Optional[Iterable[Offset]] = None,
-) -> frozenset[Word]:
-    """All normalized joint placements of v and w satisfying the restriction.
-
-    The experimentation hooks relax the default rule: `require_contact=False`
-    drops the shared-lattice-point requirement, in which case an explicit
-    finite offset `window` must be supplied.
-    """
-    v = normalize(v)
-    w = normalize(w)
-    if window is None:
-        if not require_contact:
-            raise ValueError("contact-free composition needs an explicit window")
-        return _contact_results(r, v, w)
-    return _placements(r, v, w, tuple(window), require_contact)
+def compose_words(v: Word, w: Word, r: Restriction) -> frozenset[Word]:
+    """All normalized joint placements of v and w satisfying the restriction."""
+    return _contact_results(r, normalize(v), normalize(w))
 
 
 def compose_langs(

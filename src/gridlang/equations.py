@@ -28,11 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from importlib import resources
-from typing import Iterable
-
 from .expr import EquationSystem, Rounds, eval_expr, parse_system
-from .grid import Bounds, Budget, BudgetExhausted, Word, normalize, word_sort_key
-from .tiling import LanguageDiff
+from .grid import Bounds, Budget, BudgetExhausted, Word
 
 
 @dataclass(frozen=True)
@@ -81,10 +78,6 @@ def fixed_point_holds(sys: EquationSystem, sol: Solution, bounds: Bounds) -> boo
 # ---------------------------------------------------------------------------
 # Builtin systems
 
-SQUARES_TARGET = "X"
-F02AC_TARGET = "X11"
-
-
 def corpus_text(name: str) -> str:
     """Text of a packaged corpus file."""
     return resources.files("gridlang").joinpath("corpus", name).read_text()
@@ -104,25 +97,3 @@ def builtin_f02ac(general: bool = False) -> EquationSystem:
     """
     return parse_system(corpus_text("f02ac-general.t2d" if general else "f02ac.t2d"))
 
-
-# ---------------------------------------------------------------------------
-# Language comparison over finite sets
-
-
-def diff_languages(
-    a: Iterable[Word], b: Iterable[Word], max_witnesses: int = 10
-) -> LanguageDiff:
-    """Symmetric difference report with bounded rendered witness lists."""
-    left = frozenset(normalize(w) for w in a)
-    right = frozenset(normalize(w) for w in b)
-    only_left = sorted(left - right, key=word_sort_key)
-    only_right = sorted(right - left, key=word_sort_key)
-    return LanguageDiff(
-        left_total=len(left),
-        right_total=len(right),
-        common=len(left & right),
-        only_left_count=len(only_left),
-        only_left=tuple(only_left[:max_witnesses]),
-        only_right_count=len(only_right),
-        only_right=tuple(only_right[:max_witnesses]),
-    )

@@ -113,6 +113,7 @@ def parse_expr_at(cur: Cursor) -> Expr:
 
 def _parse_term(cur: Cursor) -> Expr:
     node = _parse_factor(cur)
+    depth = cur.depth
     while True:
         cur.skip_ws()
         if cur.peek() != "(":
@@ -130,15 +131,20 @@ def _parse_term(cur: Cursor) -> Expr:
         cur.expect(")")
         right = _parse_factor(cur)
         node = Compose(node, r, right)
+        cur.nest()  # each link of a chain nests the tree one level deeper
+    cur.depth = depth
     return node
 
 
 def _parse_factor(cur: Cursor) -> Expr:
     cur.skip_ws()
     ch = cur.peek()
+    depth = cur.depth
     if ch == "(":
         cur.take("(")
+        cur.nest()
         node: Expr = parse_expr_at(cur)
+        cur.depth = depth
         cur.skip_ws()
         cur.expect(")")
     elif ch and ch in _ATOM_CHARS:
@@ -162,6 +168,8 @@ def _parse_factor(cur: Cursor) -> Expr:
         cur.skip_ws()
         cur.expect(")")
         node = Star(node, r)
+        cur.nest()  # each star of a chain nests the tree one level deeper
+    cur.depth = depth
     return node
 
 
@@ -263,12 +271,6 @@ class EquationSystem:
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.equations)
-
-    def right_hand_side(self, name: str) -> Expr:
-        for n, rhs in self.equations:
-            if n == name:
-                return rhs
-        raise KeyError(name)
 
 
 _DEF_RE = re.compile(r"^([A-Z][A-Za-z0-9_']*)\s*=\s*(.+)$")

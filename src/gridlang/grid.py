@@ -120,14 +120,6 @@ class Element:
         return (self.axis, self.row, self.col)
 
 
-def element_sort_key(el: Element) -> tuple[int, int, str]:
-    return (el.row, el.col, el.kind)
-
-
-def element_translate(el: Element, dr: int, dc: int) -> Element:
-    return Element(el.kind, el.row + dr, el.col + dc)
-
-
 @dataclass(frozen=True)
 class Selector:
     """An element kind plus an extremeness filter on its inside cells."""
@@ -334,36 +326,6 @@ def render_ascii(w: Word) -> str:
         "".join(cmap.get((r, c), FILLER) for c in range(c0, c1 + 1))
         for r in range(r0, r1 + 1)
     )
-
-
-def format_word_text(w: Word) -> str:
-    """Word text format: a "rows cols" header line, then the ascii grid."""
-    v = normalize(w)
-    _, _, r1, c1 = v.bbox
-    return f"{r1 + 1} {c1 + 1}\n{render_ascii(v)}\n"
-
-
-def parse_word_text(text: str) -> Word:
-    lines = text.splitlines()
-    while lines and not lines[-1].strip():
-        lines.pop()
-    if not lines:
-        raise ValueError("empty word text")
-    head = lines[0].split()
-    if len(head) != 2 or not all(part.isdigit() for part in head):
-        raise ValueError(f"expected header 'rows cols', got {lines[0]!r}")
-    rows, cols = int(head[0]), int(head[1])
-    body = lines[1:]
-    if len(body) != rows:
-        raise ValueError(f"expected {rows} grid rows, got {len(body)}")
-    cells: list[tuple[int, int, str]] = []
-    for r, line in enumerate(body):
-        if len(line) != cols:
-            raise ValueError(f"grid row {r} has {len(line)} glyphs, expected {cols}")
-        for c, ch in enumerate(line):
-            if ch != FILLER:
-                cells.append((r, c, ch))
-    return Word(tuple(cells))
 
 
 def word_sort_key(w: Word) -> tuple[int, str]:

@@ -31,6 +31,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional
 
+from .compose import MAX_NESTING
 from .equations import corpus_text
 from .grid import Budget
 
@@ -400,17 +401,6 @@ def check_cell(m: DataModule, west: Datum, north: Datum, east: Datum, south: Dat
     return any((east, south) in rule.outputs(west, north) for rule in m.rules)
 
 
-def matching_rules(
-    m: DataModule, west: Datum, north: Datum, east: Datum, south: Datum
-) -> tuple[int, ...]:
-    """Indices of the rules that relate the borders; for coverage checks."""
-    return tuple(
-        idx
-        for idx, rule in enumerate(m.rules)
-        if (east, south) in rule.outputs(west, north)
-    )
-
-
 # ---------------------------------------------------------------------------
 # Scenarios
 
@@ -646,7 +636,6 @@ _TOKEN = re.compile(r"->|!=|[A-Za-z][A-Za-z0-9_]*|\d+|[?_<>|(){},^+\-=:.]")
 # A character that is neither blank nor the start of a token.
 _BAD_CHAR = re.compile(r"[^\sA-Za-z\d_?<>|(){},^+\-=:.!]|!(?!=)")
 _KEYWORDS = frozenset({"module", "cell", "wire", "where", "in", "min", "reconstructed"})
-_MAX_NESTING = 100
 # Keeps a line's brackets, as '(' and ')', and drops its other ASCII.
 _BRACKETS = str.maketrans(
     "{}", "()", "".join(c for c in map(chr, range(128)) if c not in "(){}")
@@ -667,7 +656,7 @@ def _nesting(line: str) -> int:
     """
     brackets = _NOT_BRACKET.sub("", line.translate(_BRACKETS))
     depth = 0
-    while "()" in brackets and depth <= _MAX_NESTING:
+    while "()" in brackets and depth <= MAX_NESTING:
         brackets = brackets.replace("()", "")
         depth += 1
     operators = line.count("+") + line.count("-") - line.count("->")
@@ -688,8 +677,8 @@ class _Tokens:
         if _BAD_CHAR.search(line):
             raise ValueError(f"bad character in {line!r}")
         self.items = _TOKEN.findall(line)
-        if _nesting(line) > _MAX_NESTING:
-            raise ValueError(f"nesting deeper than {_MAX_NESTING} in {line!r}")
+        if _nesting(line) > MAX_NESTING:
+            raise ValueError(f"nesting deeper than {MAX_NESTING} in {line!r}")
         self.line = line
         self.shared = shared
         self.at = 0

@@ -164,42 +164,8 @@ class Scenario:
     def tile_map(self) -> dict[Pos, Tile]:
         return {(r, c): tile for r, c, tile in self.cells}
 
-    @cached_property
-    def positions(self) -> frozenset[Pos]:
-        return frozenset((r, c) for r, c, _ in self.cells)
-
-    @cached_property
-    def bbox(self) -> tuple[int, int, int, int]:
-        rows = [r for r, _, _ in self.cells]
-        cols = [c for _, c, _ in self.cells]
-        return (min(rows), min(cols), max(rows), max(cols))
-
-    @property
-    def height(self) -> int:
-        return self.bbox[2] - self.bbox[0] + 1
-
-    @property
-    def width(self) -> int:
-        return self.bbox[3] - self.bbox[1] + 1
-
     def __len__(self) -> int:
         return len(self.cells)
-
-
-def translate_scenario(s: Scenario, dr: int, dc: int) -> Scenario:
-    return Scenario(tuple((r + dr, c + dc, t) for r, c, t in s.cells))
-
-
-def normalize_scenario(s: Scenario) -> Scenario:
-    r0, c0, _, _ = s.bbox
-    if r0 == 0 and c0 == 0:
-        return s
-    return translate_scenario(s, -r0, -c0)
-
-
-def strip(s: Scenario) -> Word:
-    """Forget border labels, keeping positions and letters."""
-    return Word(tuple((r, c, t.letter) for r, c, t in s.cells))
 
 
 # ---------------------------------------------------------------------------
@@ -408,52 +374,6 @@ def word_accepted(f: TileSystem, w: Word) -> bool:
             if not frontier:
                 return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# Scenario composition
-
-
-def scenario_compose(v: Scenario, w: Scenario) -> frozenset[Scenario]:
-    """All joint placements with point contact, no overlap, agreeing borders."""
-    v = normalize_scenario(v)
-    w = normalize_scenario(w)
-    vmap = v.tile_map
-    inflated = {
-        (r + dr, c + dc)
-        for r, c in v.positions
-        for dr in (-1, 0, 1)
-        for dc in (-1, 0, 1)
-    }
-    out: set[Scenario] = set()
-    for dr in range(-w.height, v.height + 1):
-        for dc in range(-w.width, v.width + 1):
-            placed = [(r + dr, c + dc, t) for r, c, t in w.cells]
-            if any((r, c) in vmap for r, c, _ in placed):
-                continue
-            if not any((r, c) in inflated for r, c, _ in placed):
-                continue
-            ok = True
-            for r, c, t in placed:
-                east = vmap.get((r, c + 1))
-                if east is not None and t.east != east.west:
-                    ok = False
-                    break
-                west = vmap.get((r, c - 1))
-                if west is not None and west.east != t.west:
-                    ok = False
-                    break
-                south = vmap.get((r + 1, c))
-                if south is not None and t.south != south.north:
-                    ok = False
-                    break
-                north = vmap.get((r - 1, c))
-                if north is not None and north.south != t.north:
-                    ok = False
-                    break
-            if ok:
-                out.add(normalize_scenario(Scenario(v.cells + tuple(placed))))
-    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------
@@ -781,21 +701,3 @@ def column_strings(words: Iterable[Word]) -> frozenset[str]:
         out.add("".join(letter for _, _, letter in w.cells))
     return frozenset(out)
 
-
-# ---------------------------------------------------------------------------
-# Record output
-
-
-def scenario_records(s: Scenario) -> list[dict[str, object]]:
-    return [
-        {
-            "row": r,
-            "col": c,
-            "letter": t.letter,
-            "w": t.west,
-            "n": t.north,
-            "e": t.east,
-            "s": t.south,
-        }
-        for r, c, t in s.cells
-    ]

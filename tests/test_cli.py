@@ -2,16 +2,38 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import gridlang
 from gridlang.cli import run
 from gridlang.equations import corpus_text
 from gridlang.interact import builtin_protocol, format_scenario
+
+
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = Path(gridlang.__file__).parent / "corpus"
 
 
 def go(*argv: str) -> tuple[int, str]:
     out = io.StringIO()
     code = run(list(argv), out)
     return code, out.getvalue()
+
+
+def python(*argv: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports gridlang from this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120
+    )
 
 
 class TestEnum:
@@ -118,6 +140,91 @@ class TestEvalAndSolve:
         code, text = go("solve", "--file", str(path), "--max-rows", "1", "--max-cols", "2")
         assert code == 0
         assert text == "A: 2 words\na\n\naa\n\n"
+
+
+class TestBuiltinSystems:
+    @pytest.mark.parametrize("name", ["squares", "f02ac", "f02ac-general"])
+    def test_builtin_equals_its_corpus_file(self, name):
+        path = str(CORPUS / f"{name}.t2d")
+        bounds = ("--max-rows", "4", "--max-cols", "4", "--max-cells", "9")
+        for verb in ("solve", "render"):
+            builtin = go(verb, "--system", name, *bounds)
+            from_file = go(verb, "--file", path, *bounds)
+            assert builtin[0] == 0
+            assert builtin == from_file, (verb, name)
+
+    def test_unknown_builtin_is_a_usage_error(self, capsys):
+        assert go("solve", "--system", "nope", "--max-cells", "4")[0] == 2
+        assert "builtins: squares, f02ac, f02ac-general" in capsys.readouterr().err
+
+
+class TestDeepNesting:
+    """Nesting past the parsers' bound is a usage error, not a RecursionError."""
+
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            "(" * 3000 + "a" + ")" * 3000,
+            "a (" + "!" * 3000 + "n=s) a",
+            "a" + " (always) a" * 3000,
+            "a" + " *(always)" * 3000,
+        ],
+    )
+    def test_deep_expression(self, expr, capsys):
+        assert go("eval", "--expr", expr, "--max-cells", "2") == (2, "")
+        assert capsys.readouterr().err.startswith("error: bad expression: nesting")
+
+    def test_deep_equation_file(self, tmp_path, capsys):
+        path = tmp_path / "deep.t2d"
+        path.write_text("X = " + "(" * 3000 + "a" + ")" * 3000 + "\n")
+        assert go("solve", "--file", str(path), "--max-cells", "2") == (2, "")
+        assert capsys.readouterr().err.startswith("error: bad equation file")
+
+
+class TestModuleEntry:
+    def test_help(self):
+        res = python("-m", "gridlang.cli", "--help")
+        assert res.returncode == 0
+        assert res.stdout.startswith("usage: gridlang")
+
+    def test_enum(self):
+        res = python("-m", "gridlang.cli", "enum", "--sats", "F02ac.c", "--max-cells", "1")
+        assert (res.returncode, res.stdout, res.stderr) == (0, "c\n", "")
+
+
+class TestBenchEntry:
+    """The benchmark's traced entry point runs each verb and sees its layers."""
+
+    CASES = [
+        (
+            ("enum", "--sats", "F02ac.c", "--max-cells", "3"),
+            ("tiling.enumerate_language", "grid.word_sort_key", "cli.run"),
+        ),
+        (
+            ("validate", "--modules", "protocol", "--execute"),
+            (
+                "interact.parse_scenario",
+                "interact.parse_module_library",
+                "interact.validate_scenario",
+                "interact.complete_scenario",
+            ),
+        ),
+        (
+            ("solve", "--system", "squares", "--max-cells", "9"),
+            ("equations.solve", "expr.eval_expr", "compose.compose_langs"),
+        ),
+    ]
+
+    @pytest.mark.parametrize("argv,layers", CASES, ids=[c[0][0] for c in CASES])
+    def test_traced_run(self, argv, layers, tmp_path):
+        trace = tmp_path / "trace.json"
+        entry = str(ROOT / "perfbench" / "entry.py")
+        res = python("-I", entry, "--trace-to", str(trace), *argv)
+        assert res.returncode == 0, res.stderr
+        assert "Traceback" not in res.stderr
+        calls = json.loads(trace.read_text())
+        for layer in layers:
+            assert calls.get(layer + ".calls", 0) >= 1, layer
 
 
 class TestRender:

@@ -15,7 +15,6 @@ from gridlang.compose import (
     ParseError,
     compose_langs,
     compose_words,
-    contact_elements,
     eval_restriction,
     format_restriction,
     parse_restriction,
@@ -177,19 +176,6 @@ class TestEval:
             assert lhs == rhs
 
 
-class TestContactElements:
-    def test_shared_edge_and_points(self):
-        a = W("a")
-        b = translate(W("b"), 0, 1)
-        got = contact_elements(a, b)
-        assert got == frozenset({("v", 0, 1), ("p", 0, 1), ("p", 1, 1)})
-
-    def test_corner_touch(self):
-        a = W("a")
-        b = translate(W("b"), 1, 1)
-        assert contact_elements(a, b) == frozenset({("p", 1, 1)})
-
-
 class TestComposeWords:
     def test_unique_horizontal_join(self):
         got = compose_words(W("a"), W("b"), R("e=w"))
@@ -239,18 +225,6 @@ class TestComposeWords:
             r = random_restriction(rng, 2)
             for res in compose_words(v, w, r):
                 assert len(res) == len(v) + len(w)
-
-    def test_window_hook_allows_detached_pairs(self):
-        got = compose_words(
-            W("a"), W("b"), Always(), require_contact=False, window=[(0, 3)]
-        )
-        assert got == frozenset({W("a..b")})
-        with pytest.raises(ValueError):
-            compose_words(W("a"), W("b"), Always(), require_contact=False)
-
-    def test_window_with_contact_still_checks_contact(self):
-        got = compose_words(W("a"), W("b"), Always(), window=[(0, 3), (0, 1)])
-        assert got == frozenset({W("ab")})
 
 
 def oracle_eval(r, v, wt):

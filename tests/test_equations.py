@@ -1,4 +1,4 @@
-"""Equation solving, builtin systems, corpus files, language diffing."""
+"""Equation solving, builtin systems and corpus files."""
 
 import random
 
@@ -21,13 +21,10 @@ from gridlang.expr import (
     parse_system,
 )
 from gridlang.equations import (
-    F02AC_TARGET,
-    SQUARES_TARGET,
     Solution,
     builtin_f02ac,
     builtin_squares,
     corpus_text,
-    diff_languages,
     fixed_point_holds,
     solve,
 )
@@ -132,7 +129,7 @@ class TestSolve:
         sys = builtin_squares()
         sol = solve(sys, B5)
         forged = dict(sol.values)
-        forged[SQUARES_TARGET] = sol.values[SQUARES_TARGET] | {W("xx")}
+        forged["X"] = sol.values["X"] | {W("xx")}
         assert not fixed_point_holds(sys, Solution(forged, sol.iterations, True), B5)
 
 
@@ -238,12 +235,12 @@ class TestSemiNaive:
 class TestSquares:
     def test_smallest_two_words(self):
         sol = solve(builtin_squares(), Bounds(3, 3, 9))
-        assert sol.values[SQUARES_TARGET] == frozenset({W("x"), square_word(1)})
+        assert sol.values["X"] == frozenset({W("x"), square_word(1)})
 
     def test_matches_direct_generator_up_to_five(self):
         sol = solve(builtin_squares(), B5)
         expected = frozenset({W("x"), square_word(1), square_word(2)})
-        assert sol.values[SQUARES_TARGET] == expected
+        assert sol.values["X"] == expected
 
     def test_intermediate_sizes_are_stable(self):
         sol = solve(builtin_squares(), B5)
@@ -264,7 +261,7 @@ class TestHats:
 
     def test_smallest_hat_is_the_four_cell_roof(self):
         sol = solve(builtin_f02ac(), Bounds(4, 4, 8))
-        target = sol.values[F02AC_TARGET]
+        target = sol.values["X11"]
         assert W(".c.", "c2c") in target
         assert W("c") not in target
         assert min(len(w) for w in target) == 4
@@ -273,7 +270,7 @@ class TestHats:
         bounds = Bounds(6, 6, 12)
         basic = solve(builtin_f02ac(), bounds)
         general = solve(builtin_f02ac(general=True), bounds)
-        assert basic.values[F02AC_TARGET] < general.values[F02AC_TARGET]
+        assert basic.values["X11"] < general.values["X11"]
 
     def test_general_variant_sizes_are_stable(self):
         sol = solve(builtin_f02ac(general=True), Bounds(6, 6, 12))
@@ -302,7 +299,7 @@ class TestHats:
             sol = solve(builtin_f02ac(general=general), Bounds(7, 7, 16))
             assert sol.saturated
             rejected = [
-                w for w in sol.values[F02AC_TARGET] if not word_accepted(tiles, w)
+                w for w in sol.values["X11"] if not word_accepted(tiles, w)
             ]
             assert not rejected, (general, len(rejected))
 
@@ -357,23 +354,3 @@ class TestCorpus:
         assert scenario_valid(f, lone) and accepting(f, lone)
         assert scenario_valid(f, bent) and accepting(f, bent)
         assert scenario_valid(f, spoiled) and not accepting(f, spoiled)
-
-
-class TestDiffLanguages:
-    def test_equal_sets(self):
-        d = diff_languages({W("x")}, {W("x")})
-        assert d.equal
-        assert d.common == 1
-        assert d.only_left_count == 0 and d.only_right_count == 0
-
-    def test_disjoint_sets_with_witnesses(self):
-        d = diff_languages({W("a")}, {W("b"), W("bb")})
-        assert not d.equal
-        assert d.only_left == (W("a"),)
-        assert set(d.only_right) == {W("b"), W("bb")}
-
-    def test_witness_lists_are_truncated_but_counts_are_not(self):
-        left = {W("a" * k) for k in range(1, 8)}
-        d = diff_languages(left, set(), max_witnesses=3)
-        assert d.only_left_count == 7
-        assert len(d.only_left) == 3

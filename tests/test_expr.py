@@ -4,7 +4,13 @@ import random
 
 import pytest
 
-from gridlang.compose import Comparison, ParseError
+from gridlang.compose import (
+    MAX_NESTING,
+    Comparison,
+    ParseError,
+    format_restriction,
+    parse_restriction,
+)
 from gridlang.grid import Bounds, Selector, Word
 from gridlang.expr import (
     Atom,
@@ -24,6 +30,23 @@ from gridlang.expr import (
 )
 
 from conftest import W, random_restriction
+
+
+def random_expr(rng: random.Random, depth: int):
+    if depth == 0 or rng.random() < 0.3:
+        if rng.random() < 0.5:
+            return Atom(rng.choice("abx012"))
+        return Var(rng.choice(["X", "Y1", "Er", "X5'", "U_v"]))
+    kind = rng.choice(["sum", "compose", "star"])
+    if kind == "sum":
+        return Sum(tuple(random_expr(rng, depth - 1) for _ in range(rng.randint(2, 3))))
+    if kind == "compose":
+        return Compose(
+            random_expr(rng, depth - 1),
+            random_restriction(rng, 2),
+            random_expr(rng, depth - 1),
+        )
+    return Star(random_expr(rng, depth - 1), random_restriction(rng, 2))
 
 
 def cmp(a: str, op: str, b: str) -> Comparison:
@@ -125,26 +148,74 @@ class TestPrinter:
 
     def test_random_trees_round_trip(self):
         rng = random.Random(20240816)
-
-        def random_expr(depth: int):
-            if depth == 0 or rng.random() < 0.3:
-                if rng.random() < 0.5:
-                    return Atom(rng.choice("abx012"))
-                return Var(rng.choice(["X", "Y1", "Er", "X5'", "U_v"]))
-            kind = rng.choice(["sum", "compose", "star"])
-            if kind == "sum":
-                return Sum(tuple(random_expr(depth - 1) for _ in range(rng.randint(2, 3))))
-            if kind == "compose":
-                return Compose(
-                    random_expr(depth - 1),
-                    random_restriction(rng, 2),
-                    random_expr(depth - 1),
-                )
-            return Star(random_expr(depth - 1), random_restriction(rng, 2))
-
         for _ in range(200):
-            tree = random_expr(3)
+            tree = random_expr(rng, 3)
             assert parse_expr(format_expr(tree)) == tree
+
+
+class TestNestingBound:
+    """Text nested up to MAX_NESTING parses, and its printed form parses back."""
+
+    RESTRICTIONS = [
+        "!" * MAX_NESTING + "n=s",
+        "(" * MAX_NESTING + "n=s" + ")" * MAX_NESTING,
+        "!(" * (MAX_NESTING // 2) + "n=s&e=w" + ")" * (MAX_NESTING // 2),
+        "!" * (MAX_NESTING - 2) + "(n=s|(e=w&always))",
+    ]
+    EXPRESSIONS = [
+        "(" * MAX_NESTING + "a" + ")" * MAX_NESTING,
+        "a" + " (e=w) a" * MAX_NESTING,
+        "a" + " *(e=w)" * MAX_NESTING,
+        "a (" + "!" * MAX_NESTING + "n=s) b",
+        "a (e=w) (" * MAX_NESTING + "b" + ")" * MAX_NESTING,
+        "(" * (MAX_NESTING - 2) + "a + b (!(n=s|e=w)) c" + ")" * (MAX_NESTING - 2),
+    ]
+
+    @pytest.mark.parametrize("text", RESTRICTIONS, ids=["not", "group", "mixed", "or"])
+    def test_restriction_at_the_bound(self, text):
+        tree = parse_restriction(text)
+        assert parse_restriction(format_restriction(tree)) == tree
+        with pytest.raises(ParseError, match="nesting deeper than"):
+            parse_restriction("!" + text)
+
+    @pytest.mark.parametrize(
+        "text",
+        EXPRESSIONS,
+        ids=["group", "compose", "star", "restriction", "right", "mixed"],
+    )
+    def test_expression_at_the_bound(self, text):
+        tree = parse_expr(text)
+        assert parse_expr(format_expr(tree)) == tree
+        with pytest.raises(ParseError, match="nesting deeper than"):
+            parse_expr("(" + text + ") *(e=w)")
+
+    def test_system_at_the_bound(self):
+        sys = parse_system(
+            "".join(f"X{i} = {text}\n" for i, text in enumerate(self.EXPRESSIONS))
+        )
+        assert parse_system(format_system(sys)) == sys
+
+    def test_random_trees_deepest_admitted_round_trip(self):
+        # Wrap each random tree in as many brackets as the bound admits;
+        # the printed form of what parses must parse back equal.
+        rng = random.Random(7)
+        for _ in range(100):
+            text = format_expr(random_expr(rng, 3))
+            for k in range(MAX_NESTING, -1, -1):
+                try:
+                    tree = parse_expr("(" * k + text + ")" * k)
+                except ParseError:
+                    continue
+                break
+            assert parse_expr(format_expr(tree)) == tree
+            inner = format_restriction(random_restriction(rng, 3))
+            for k in range(MAX_NESTING, -1, -1):
+                try:
+                    r = parse_restriction("!" * k + "(" + inner + ")")
+                except ParseError:
+                    continue
+                break
+            assert parse_restriction(format_restriction(r)) == r
 
 
 class TestClassify:
@@ -168,7 +239,7 @@ class TestSystems:
     def test_parse_order_and_names(self):
         sys = parse_system("A = a\nB = A + b\n")
         assert sys.names == ("A", "B")
-        assert sys.right_hand_side("B") == Sum((Var("A"), Atom("b")))
+        assert dict(sys.equations)["B"] == Sum((Var("A"), Atom("b")))
 
     def test_semicolons_and_comments(self):
         sys = parse_system("A = a; B = b -- two at once\n")

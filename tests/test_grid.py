@@ -12,12 +12,9 @@ from gridlang.grid import (
     Word,
     contour,
     element_inside_cells,
-    element_translate,
     extreme_cells,
-    format_word_text,
     hv_components,
     normalize,
-    parse_word_text,
     render_ascii,
     select,
     translate,
@@ -162,7 +159,7 @@ class TestContour:
         w = W("a.", "aa")
         moved = translate(w, 2, 5)
         assert contour(moved) == frozenset(
-            element_translate(el, 2, 5) for el in contour(w)
+            Element(el.kind, el.row + 2, el.col + 5) for el in contour(w)
         )
 
 
@@ -339,23 +336,6 @@ class TestRenderAndText:
 
     def test_bar(self):
         assert render_ascii(W("ab")) == "ab"
-
-    def test_text_round_trip(self):
-        for w in (W("a"), W("a.", ".b"), W("ca.", "..b"), W("aaa", "a.a", "aaa")):
-            assert parse_word_text(format_word_text(w)) == w
-
-    def test_text_format_exact(self):
-        assert format_word_text(W("a.", ".b")) == "2 2\na.\n.b\n"
-
-    def test_parse_rejects_bad_header(self):
-        with pytest.raises(ValueError):
-            parse_word_text("a.\n.b\n")
-        with pytest.raises(ValueError):
-            parse_word_text("2\na.\n.b\n")
-
-    def test_parse_rejects_ragged_grid(self):
-        with pytest.raises(ValueError):
-            parse_word_text("2 2\na.\n.bb\n")
 
     def test_sort_key_orders_by_size_then_shape(self):
         words = [W("ba"), W("a"), W("ab")]

@@ -24,7 +24,6 @@ from gridlang.interact import (
     format_module_library,
     format_report,
     format_scenario,
-    matching_rules,
     parse_module_library,
     parse_scenario,
     validate_scenario,
@@ -191,7 +190,7 @@ class TestProtocolScenario:
         for m in LIB:
             for idx in range(len(m.rules)):
                 w, n, e, s = witnesses[(m.name, idx)]
-                assert idx in matching_rules(m, w, n, e, s), (m.name, idx)
+                assert (e, s) in m.rules[idx].outputs(w, n), (m.name, idx)
 
     def test_scenario_exercises_every_module(self):
         used = {cell.module for _, _, cell in SCENARIO.cells}

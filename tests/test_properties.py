@@ -24,9 +24,9 @@ from gridlang.grid import (
     Bounds,
     Budget,
     BudgetExhausted,
+    Element,
     Word,
     contour,
-    element_translate,
     normalize,
     translate,
 )
@@ -65,7 +65,7 @@ def word_suite() -> dict[str, int]:
             stats["bad_normalize"] += 1
 
         dr, dc = rng.randint(-9, 9), rng.randint(-9, 9)
-        moved = {element_translate(el, dr, dc) for el in contour(w)}
+        moved = {Element(el.kind, el.row + dr, el.col + dc) for el in contour(w)}
         if moved != set(contour(translate(w, dr, dc))):
             stats["bad_translation"] += 1
 

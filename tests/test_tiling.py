@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from gridlang.grid import Bounds, BudgetExhausted, Word, hv_components, normalize
+from gridlang.grid import Bounds, BudgetExhausted, Word, normalize
 from gridlang.tiling import (
     LanguageDiff,
     Nfa,
@@ -18,15 +18,10 @@ from gridlang.tiling import (
     enumerate_language,
     format_language_diff,
     format_tile_system,
-    normalize_scenario,
     parse_tile_system,
     parse_two_color,
     project_to_nfa,
-    scenario_compose,
-    scenario_records,
     scenario_valid,
-    strip,
-    translate_scenario,
     word_accepted,
 )
 
@@ -194,22 +189,6 @@ class TestScenario:
         s = Scenario(((1, 0, t), (0, 0, t)))
         assert [(r, c) for r, c, _ in s.cells] == [(0, 0), (1, 0)]
 
-    def test_translate_normalize(self):
-        t = Tile("a", "0", "0", "0", "0")
-        s = Scenario(((2, 3, t),))
-        assert normalize_scenario(s).cells == ((0, 0, t),)
-        assert translate_scenario(s, -1, -1).cells == ((1, 2, t),)
-
-    def test_strip(self):
-        s = scen(F, "c.", ".c")
-        assert strip(s) == W("c.", ".c")
-
-    def test_records(self):
-        s = scen(F, "c")
-        assert scenario_records(s) == [
-            {"row": 0, "col": 0, "letter": "c", "w": "1", "n": "1", "e": "0", "s": "0"}
-        ]
-
 
 class TestValidAccepting:
     def test_vertical_cc_invalid(self):
@@ -250,7 +229,8 @@ class TestValidAccepting:
         assert accepting(F, s)
 
     def test_hat_strip(self):
-        assert normalize(strip(hat_scenario())) == W(
+        s = hat_scenario()
+        assert normalize(Word(tuple((r, c, t.letter) for r, c, t in s.cells))) == W(
             ".....c.....",
             "....c2c....",
             "...c2aac...",
@@ -296,7 +276,8 @@ class TestWordAccepted:
         assert word_accepted(F, W(".c", "c0"))
 
     def test_hat_word(self):
-        assert word_accepted(F, strip(hat_scenario()))
+        s = hat_scenario()
+        assert word_accepted(F, Word(tuple((r, c, t.letter) for r, c, t in s.cells)))
 
     def test_unknown_letter(self):
         assert not word_accepted(F, W("z"))
@@ -328,7 +309,7 @@ def brute_language(f: TileSystem, rows: int, cols: int, max_cells: int) -> set[W
             continue
         s = Scenario(placed)
         if scenario_valid(f, s) and accepting(f, s):
-            out.add(strip(s))
+            out.add(Word(tuple((r, c, t.letter) for r, c, t in s.cells)))
     return out
 
 
@@ -374,52 +355,6 @@ class TestEnumerate:
     def test_budget_generous_is_fine(self):
         lang = enumerate_language(F, Bounds(2, 2, 4, node_budget=10_000))
         assert W("c") in lang
-
-
-class TestScenarioCompose:
-    def setup_method(self):
-        a = Tile("a", "1", "2", "3", "4")
-        d = Tile("d", "3", "7", "3", "4")
-        e = Tile("e", "3", "4", "1", "8")
-        c = Tile("c", "1", "4", "3", "4")
-        b = Tile("b", "3", "4", "1", "4")
-        self.tiles = (a, d, e, c, b)
-        self.v = Scenario(
-            ((0, 0, a), (0, 1, d), (1, 0, e), (1, 1, c), (1, 2, b))
-        )
-        self.w = Scenario(((0, 0, a), (0, 1, b), (1, 0, b), (1, 1, c)))
-
-    def test_results(self):
-        results = scenario_compose(self.v, self.w)
-        assert len(results) == 8
-        for s in results:
-            assert len(s) == len(self.v) + len(self.w)
-            assert scenario_valid(self.tiles, s)
-            assert s == normalize_scenario(s)
-        fused = {
-            strip(s) for s in results if len(hv_components(strip(s))) == 1
-        }
-        assert fused == {
-            W("..ab", "adbc", "ecb."),
-            W("abad.", "bcecb"),
-            W("ad...", "ecbab", "...bc"),
-        }
-
-    def test_contact_only_results_have_two_pieces(self):
-        results = scenario_compose(self.v, self.w)
-        split = [s for s in results if len(hv_components(strip(s))) == 2]
-        assert len(split) == 5
-
-    def test_incompatible_adjacent_only_diagonal(self):
-        # the four corner placements normalize down to the two diagonals
-        (c,) = F.tiles_by_letter["c"]
-        one = Scenario(((0, 0, c),))
-        results = scenario_compose(one, one)
-        assert {strip(s) for s in results} == {
-            W("c.", ".c"),
-            W(".c", "c."),
-        }
-        assert len(results) == 2
 
 
 class TestProjection:
