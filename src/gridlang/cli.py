@@ -10,9 +10,10 @@ onto an automaton.
 Exit codes: 0 for success, 1 for domain outcomes (unequal languages,
 scenario violations, exhausted node budget), 2 for usage errors. Node
 budget exhaustion always leaves a partial marker on the output rather
-than silently truncating. With --format records the output is JSON
-lines sorted by (cell count, row-major rendering), byte-identical for
-identical inputs.
+than silently truncating: `run` alone turns BudgetExhausted into the
+marker, after the words enumerated so far when the search kept them.
+With --format records the output is JSON lines sorted by (cell count,
+row-major rendering), byte-identical for identical inputs.
 
 Every verb runs in one process. Each still accepts --jobs N and ignores
 it, so existing command lines keep working.
@@ -26,7 +27,7 @@ import os
 import sys
 from typing import Optional, Sequence, TextIO
 
-from .grid import Bounds, BudgetExhausted, Word, render_ascii, word_sort_key
+from .grid import Bounds, Budget, BudgetExhausted, Word, render_ascii, word_sort_key
 from .expr import EquationSystem, ParseError, eval_expr, parse_expr, parse_system
 from .equations import corpus_text, solve
 from .interact import (
@@ -109,10 +110,9 @@ def _read(path: str, what: str, parse):
 
 
 def _load_sats(value: str) -> TileSystem:
+    if os.path.exists(value):
+        return _read(value, "tile system", parse_tile_system)
     try:
-        if os.path.exists(value):
-            with open(value) as fh:
-                return parse_tile_system(fh.read())
         return parse_two_color(value)
     except ValueError as exc:
         raise _usage(f"bad tile system {value!r}: {exc}")
@@ -171,13 +171,7 @@ def _emit_words(words, fmt: str, out: TextIO) -> None:
 def _cmd_enum(args: argparse.Namespace, out: TextIO) -> int:
     f = _load_sats(args.sats)
     bounds = _resolve_bounds(args)
-    try:
-        words = enumerate_language(f, bounds)
-    except BudgetExhausted as exc:
-        _emit_words(exc.partial or (), args.format, out)
-        print(_PARTIAL_MARKER, file=out)
-        return 1
-    _emit_words(words, args.format, out)
+    _emit_words(enumerate_language(f, bounds), args.format, out)
     return 0
 
 
@@ -196,12 +190,9 @@ def _cmd_eval(args: argparse.Namespace, out: TextIO) -> int:
             return 1
         env = sol.values
     try:
-        words = eval_expr(expr, env, bounds)
+        words = eval_expr(expr, env, bounds, Budget(bounds.node_budget))
     except ValueError as exc:
         raise _usage(str(exc))
-    except BudgetExhausted:
-        print(_PARTIAL_MARKER, file=out)
-        return 1
     _emit_words(words, args.format, out)
     return 0
 
@@ -246,13 +237,9 @@ def _cmd_diff(args: argparse.Namespace, out: TextIO) -> int:
     if not sol.saturated:
         print(_PARTIAL_MARKER, file=out)
         return 1
-    try:
-        diff = diff_against_language(
-            f, bounds, sol.values[var], max_witnesses=args.witnesses
-        )
-    except BudgetExhausted:
-        print(_PARTIAL_MARKER, file=out)
-        return 1
+    diff = diff_against_language(
+        f, bounds, sol.values[var], max_witnesses=args.witnesses
+    )
     if args.format == "records":
         doc = {
             "equal": diff.equal,
@@ -283,6 +270,9 @@ def _load_protocol(args: argparse.Namespace):
 
 
 def _cmd_validate(args: argparse.Namespace, out: TextIO) -> int:
+    budget = args.node_budget if args.node_budget is not None else 100_000
+    if budget < 1:
+        raise _usage(f"node_budget must be a positive integer, got {budget!r}")
     lib, scenario = _load_protocol(args)
     try:
         report = validate_scenario(scenario, lib)
@@ -292,26 +282,12 @@ def _cmd_validate(args: argparse.Namespace, out: TextIO) -> int:
     execution_line = None
     if args.execute:
         cmap = scenario.cell_map
-        wired = {dst for _, dst in scenario.wiring}
         layout = {pos: cell.module for pos, cell in cmap.items()}
-        west = {
-            pos: cell.west
-            for pos, cell in cmap.items()
-            if (pos[0], pos[1] - 1) not in cmap and pos not in wired
-        }
-        north = {
-            pos: cell.north
-            for pos, cell in cmap.items()
-            if (pos[0] - 1, pos[1]) not in cmap
-        }
-        budget = args.node_budget if args.node_budget is not None else 100_000
-        try:
-            redo = complete_scenario(
-                lib, layout, west, north, scenario.wiring, node_budget=budget
-            )
-        except BudgetExhausted:
-            print(_PARTIAL_MARKER, file=out)
-            return 1
+        west = {pos: cell.west for pos, cell in cmap.items()}
+        north = {pos: cell.north for pos, cell in cmap.items()}
+        redo = complete_scenario(
+            lib, layout, west, north, scenario.wiring, node_budget=budget
+        )
         completed = redo is not None
         execution_line = (
             "execution: completion found" if completed else "execution: no completion"
@@ -340,7 +316,7 @@ def _cmd_render(args: argparse.Namespace, out: TextIO) -> int:
     bounds = _resolve_bounds(args)
     sol = solve(sys_, bounds)
     var = _pick_var(sys_, target, args.var)
-    _emit_words(sol.values[var], "ascii", out)
+    _emit_words(sol.values[var], args.format, out)
     if not sol.saturated:
         print(_PARTIAL_MARKER, file=out)
         return 1
@@ -452,7 +428,9 @@ def run(argv: Sequence[str], out: Optional[TextIO] = None) -> int:
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except BudgetExhausted:
+    except BudgetExhausted as exc:
+        if exc.partial is not None:
+            _emit_words(exc.partial, args.format, sink)
         print(_PARTIAL_MARKER, file=sink)
         return 1
 

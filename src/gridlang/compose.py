@@ -457,21 +457,21 @@ def compose_langs(
     l2: Iterable[Word],
     r: Restriction,
     bounds: Bounds,
-    budget: Optional[Budget] = None,
+    budget: Budget,
 ) -> frozenset[Word]:
     """Pointwise composition of two finite languages, filtered to bounds.
 
-    Every pair is charged to the budget. A pair whose cells together
-    exceed `bounds.max_cells` is not placed: placed cells are disjoint,
-    so every result would have that many cells and fail the bounds.
+    Every pair is charged to `budget`, which raises BudgetExhausted once
+    it runs out. A pair whose cells together exceed `bounds.max_cells`
+    is not placed: placed cells are disjoint, so every result would have
+    that many cells and fail the bounds.
     """
     right = sorted((normalize(w) for w in l2), key=len)
     sizes = [len(w) for w in right]
     out: set[Word] = set()
     for v in l1:
         v = normalize(v)
-        if budget is not None:
-            budget.charge(len(right))
+        budget.charge(len(right))
         for w in right[: bisect_right(sizes, bounds.max_cells - len(v))]:
             for res in _contact_results(r, v, w):
                 if bounds.admits(res):
@@ -483,7 +483,7 @@ def star(
     l: Iterable[Word],
     r: Restriction,
     bounds: Bounds,
-    budget: Optional[Budget] = None,
+    budget: Budget,
     closed: frozenset[Word] = frozenset(),
 ) -> frozenset[Word]:
     """Least language containing l and closed under self-composition.
@@ -493,7 +493,8 @@ def star(
     the former makes the operator idempotent. The bounded universe is
     finite and composition is monotone, so the loop reaches the least
     fixed point. Each round composes only the pairs that touch the
-    frontier, each pair once; older pairs were already exhausted.
+    frontier, each pair once; older pairs were already exhausted. Every
+    pair is charged to `budget`, as in compose_langs.
 
     `closed` resumes an earlier closure: it must be the star of some
     subset of l under the same restriction and bounds, so its own pairs

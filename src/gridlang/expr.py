@@ -321,7 +321,7 @@ def eval_expr(
     e: Expr,
     env: Mapping[str, Iterable[Word]],
     bounds: Bounds,
-    budget: Optional[Budget] = None,
+    budget: Budget,
     rounds: Optional[Rounds] = None,
 ) -> frozenset[Word]:
     """Language of an expression under a variable environment, in bounds.
@@ -333,7 +333,9 @@ def eval_expr(
     star resumes from its old closure. This is exact when no variable
     lost a word since that round, as in a solve's rounds from the empty
     environment, since every operator is monotone. Without `rounds`,
-    evaluation is a first round, in which every word is new.
+    evaluation is a first round, in which every word is new. Every
+    composed pair is charged to `budget`, which raises BudgetExhausted
+    once it runs out.
     """
     if rounds is None:
         rounds = Rounds()

@@ -57,10 +57,16 @@ _TR = (-1, 0)
 _BL = (0, -1)
 _BR = (0, 0)
 
-# Corner kind -> (offsets that must be occupied, offsets that must be empty).
-# Land corners constrain all four cells; golf corners leave the cell diagonal
-# to the named empty cell unconstrained.
-_CORNER_PATTERNS: dict[str, tuple[tuple[Pos, ...], tuple[Pos, ...]]] = {
+# Element kind -> (offsets that must be occupied, offsets that must be empty)
+# around the lattice point that identifies the element. A side constrains
+# the two cells of its edge, seen from the edge's north or west end. Land
+# corners constrain all four cells; golf corners leave the cell diagonal to
+# the named empty cell unconstrained.
+_PATTERNS: dict[str, tuple[tuple[Pos, ...], tuple[Pos, ...]]] = {
+    "w": ((_BR,), (_BL,)),
+    "n": ((_BR,), (_TR,)),
+    "e": ((_BL,), (_BR,)),
+    "s": ((_TR,), (_BR,)),
     "nw": ((_BR,), (_TL, _TR, _BL)),
     "ne": ((_BL,), (_TL, _TR, _BR)),
     "sw": ((_TR,), (_TL, _BL, _BR)),
@@ -73,20 +79,20 @@ _CORNER_PATTERNS: dict[str, tuple[tuple[Pos, ...], tuple[Pos, ...]]] = {
 
 
 # The cells around a lattice point in bit order of its occupancy mask, and
-# the corner kinds that sit at a point with each of the 16 masks.
+# the element kinds that sit at a point with each of the 16 masks.
 _AROUND_POINT = (_TL, _TR, _BL, _BR)
 
 
-def _corner_kinds(mask: int) -> tuple[str, ...]:
+def _kinds(mask: int) -> tuple[str, ...]:
     occupied = {off for bit, off in enumerate(_AROUND_POINT) if mask >> bit & 1}
     return tuple(
         kind
-        for kind, (inside, outside) in _CORNER_PATTERNS.items()
+        for kind, (inside, outside) in _PATTERNS.items()
         if occupied.issuperset(inside) and occupied.isdisjoint(outside)
     )
 
 
-_CORNER_TABLE = tuple(_corner_kinds(mask) for mask in range(16))
+_KIND_TABLE = tuple(_kinds(mask) for mask in range(16))
 
 _AROUND8 = tuple(
     (dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1) if (dr, dc) != (0, 0)
@@ -204,17 +210,9 @@ class Word:
         """Every side edge and corner point on the boundary, holes included."""
         occ = self.positions
         elems: set[Element] = set()
-        for r, c in occ:
-            if (r, c - 1) not in occ:
-                elems.add(Element("w", r, c))
-            if (r, c + 1) not in occ:
-                elems.add(Element("e", r, c + 1))
-            if (r - 1, c) not in occ:
-                elems.add(Element("n", r, c))
-            if (r + 1, c) not in occ:
-                elems.add(Element("s", r + 1, c))
-        # Corner candidates: the four lattice points around each occupied
-        # cell, each classified once by the occupancy of its four cells.
+        # Every element sits at one of the four lattice points around an
+        # occupied cell; each point is classified once by the occupancy of
+        # its four cells.
         points = {(r + dr, c + dc) for r, c in occ for dr in (0, 1) for dc in (0, 1)}
         for pr, pc in points:
             mask = (
@@ -223,7 +221,7 @@ class Word:
                 | ((pr, pc - 1) in occ) << 2
                 | ((pr, pc) in occ) << 3
             )
-            for kind in _CORNER_TABLE[mask]:
+            for kind in _KIND_TABLE[mask]:
                 elems.add(Element(kind, pr, pc))
         return frozenset(elems)
 
@@ -290,19 +288,17 @@ def extreme_cells(w: Word) -> frozenset[Pos]:
 
 
 def element_inside_cells(w: Word, el: Element) -> frozenset[Pos]:
-    """The occupied cells an element touches; extremeness filters use these."""
-    if el.kind == "w":
-        return frozenset({(el.row, el.col)})
-    if el.kind == "e":
-        return frozenset({(el.row, el.col - 1)})
-    if el.kind == "n":
-        return frozenset({(el.row, el.col)})
-    if el.kind == "s":
-        return frozenset({(el.row - 1, el.col)})
+    """The occupied cells an element touches; extremeness filters use these.
+
+    A side touches the two cells of its edge, a corner the four cells
+    around its point.
+    """
+    inside, outside = _PATTERNS[el.kind]
+    touched = inside + outside if el.kind in SIDE_KINDS else _AROUND_POINT
     occ = w.positions
     return frozenset(
         (el.row + dr, el.col + dc)
-        for dr, dc in (_TL, _TR, _BL, _BR)
+        for dr, dc in touched
         if (el.row + dr, el.col + dc) in occ
     )
 

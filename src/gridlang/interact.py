@@ -319,7 +319,7 @@ def _guard_envs(g: Guard, env: Env) -> Iterator[Env]:
             s = eval_dexpr(g.right, env)
             if not isinstance(s, DataSet):
                 return
-            for item in sorted(s.items, key=datum_key):
+            for item in s.items:
                 got = match_pattern(g.left, item, env)
                 if got is not None:
                     yield got

@@ -645,29 +645,19 @@ def project_to_nfa(f: TileSystem) -> Nfa:
                 f"projection precondition violated: tile {t.letter} has the "
                 f"same label {t.west!r} on west and east"
             )
-    left_ok = {t for t in f.tiles if t.west in f.external_west}
-    grew = True
-    while grew:
-        grew = False
-        for t in f.tiles:
-            if t not in left_ok and any(s.east == t.west for s in left_ok):
-                left_ok.add(t)
-                grew = True
-    right_ok = {t for t in f.tiles if t.east in f.external_east}
-    grew = True
-    while grew:
-        grew = False
-        for t in f.tiles:
-            if t not in right_ok and any(t.east == s.west for s in right_ok):
-                right_ok.add(t)
-                grew = True
-    for t1 in sorted(left_ok, key=Tile.key):
-        for t2 in sorted(right_ok, key=Tile.key):
-            if t1.east == t2.west:
-                raise ValueError(
-                    "projection precondition violated: west/east labels let "
-                    f"tiles {t1.letter} and {t2.letter} sit side by side"
-                )
+    # Labels a tile's east side can show in a row that starts at the west
+    # boundary; a tile whose west matches one sits east of another tile.
+    reach: set[str] = set()
+    more = {t.east for t in f.tiles if t.west in f.external_west}
+    while more:
+        reach |= more
+        more = {t.east for t in f.tiles if t.west in reach} - reach
+    for t in f.tiles:
+        if t.west in reach and t.east in f.external_east:
+            raise ValueError(
+                "projection precondition violated: west/east labels let "
+                f"tile {t.letter} sit side by side with a tile to its west"
+            )
     transitions = sorted(
         {
             (t.north, t.letter, t.south)

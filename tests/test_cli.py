@@ -95,6 +95,11 @@ class TestEnum:
         code, _ = go("enum", "--sats", "ZZZ", "--max-cells", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("verb", [("enum", "--max-cells", "1"), ("project-nfa",)])
+    def test_unreadable_sats_path_is_a_usage_error(self, verb, tmp_path, capsys):
+        assert go(verb[0], "--sats", str(tmp_path), *verb[1:]) == (2, "")
+        assert capsys.readouterr().err.startswith("error: cannot read")
+
 
 class TestEvalAndSolve:
     def test_star_expression(self):
@@ -113,6 +118,12 @@ class TestEvalAndSolve:
     def test_unbound_variable_is_a_usage_error(self):
         code, _ = go("eval", "--expr", "Q + a", "--max-cells", "2")
         assert code == 2
+
+    def test_node_budget_bounds_eval(self):
+        assert go(
+            "eval", "--expr", "a *(e=w)", "--max-rows", "1", "--max-cols", "12",
+            "--max-cells", "12", "--node-budget", "1",
+        ) == (1, "partial: node budget exhausted\n")
 
     def test_solve_records_document(self):
         code, text = go(
@@ -213,6 +224,21 @@ class TestBenchEntry:
             ("solve", "--system", "squares", "--max-cells", "9"),
             ("equations.solve", "expr.eval_expr", "compose.compose_langs"),
         ),
+        (
+            (
+                "diff", "--sats", "F02ac.c", "--system", "f02ac", "--var", "X1",
+                "--max-cells", "1",
+            ),
+            (
+                "tiling.count_language",
+                "tiling.word_accepted",
+                "tiling.diff_against_language",
+            ),
+        ),
+        (
+            ("eval", "--expr", "(a *(e=w))", "--max-rows", "1", "--max-cols", "3"),
+            ("compose.compose_langs",),
+        ),
     ]
 
     @pytest.mark.parametrize("argv,layers", CASES, ids=[c[0][0] for c in CASES])
@@ -232,6 +258,19 @@ class TestRender:
         code, text = go("render", "--system", "squares", "--max-cells", "9")
         assert code == 0
         assert text == "x\n\naaa\naxa\naaa\n"
+
+    def test_records_format(self):
+        code, text = go(
+            "render", "--system", "squares", "--max-cells", "9", "--format", "records"
+        )
+        assert code == 0
+        square = [
+            [r, c, "x" if (r, c) == (1, 1) else "a"] for r in range(3) for c in range(3)
+        ]
+        assert text.splitlines() == [
+            '{"cells":[[0,0,"x"]]}',
+            json.dumps({"cells": square}, separators=(",", ":")),
+        ]
 
 
 class TestDiff:
@@ -292,6 +331,14 @@ class TestValidate:
         assert code == 0
         doc = json.loads(text)
         assert doc == {"cells_checked": 20, "valid": True, "violations": []}
+
+    def test_non_positive_node_budget_is_a_usage_error(self, capsys):
+        code, text = go(
+            "validate", "--modules", "protocol", "--execute", "--node-budget", "0"
+        )
+        assert (code, text) == (2, "")
+        err = capsys.readouterr().err
+        assert err == "error: node_budget must be a positive integer, got 0\n"
 
     def test_missing_scenario_file_is_a_usage_error(self, tmp_path, capsys):
         path = tmp_path / "missing.imod"

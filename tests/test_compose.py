@@ -295,14 +295,22 @@ class TestComposeOracle:
 
 class TestComposeLangs:
     def test_pairs(self):
-        got = compose_langs({W("a")}, {W("b")}, R("e=w"), Bounds(3, 3, 9))
+        bounds = Bounds(3, 3, 9)
+        got = compose_langs(
+            {W("a")}, {W("b")}, R("e=w"), bounds, Budget(bounds.node_budget)
+        )
         assert got == frozenset({W("ab")})
 
     def test_empty_annihilates(self):
-        assert compose_langs(set(), {W("a")}, R("e=w"), Bounds(3, 3, 9)) == frozenset()
+        bounds = Bounds(3, 3, 9)
+        budget = Budget(bounds.node_budget)
+        assert compose_langs(set(), {W("a")}, R("e=w"), bounds, budget) == frozenset()
 
     def test_bounds_filter(self):
-        got = compose_langs({W("a")}, {W("a")}, R("e=w"), Bounds(3, 1, 3))
+        bounds = Bounds(3, 1, 3)
+        got = compose_langs(
+            {W("a")}, {W("a")}, R("e=w"), bounds, Budget(bounds.node_budget)
+        )
         assert got == frozenset()
 
     def test_budget_charges_per_pair(self):
@@ -319,10 +327,10 @@ class TestComposeLangs:
             l1 = {random_word(rng, 3) for _ in range(rng.randint(1, 3))}
             l2 = {random_word(rng, 3) for _ in range(rng.randint(1, 3))}
             r = random_restriction(rng)
-            every = compose_langs(l1, l2, r, wide)
+            every = compose_langs(l1, l2, r, wide, Budget(wide.node_budget))
             rows, cols = rng.randint(1, 5), rng.randint(1, 5)
             tight = Bounds(rows, cols, rng.randint(1, rows * cols))
-            got = compose_langs(l1, l2, r, tight)
+            got = compose_langs(l1, l2, r, tight, Budget(tight.node_budget))
             assert got == frozenset(w for w in every if tight.admits(w))
 
     def test_pairs_too_large_to_fit_are_still_charged(self):
@@ -334,24 +342,27 @@ class TestComposeLangs:
 
 class TestStar:
     def test_horizontal_bars(self):
-        got = star({W("0")}, R("e=w"), Bounds(1, 4, 4))
+        bounds = Bounds(1, 4, 4)
+        got = star({W("0")}, R("e=w"), bounds, Budget(bounds.node_budget))
         assert got == frozenset({W("0"), W("00"), W("000"), W("0000")})
 
     def test_antidiagonals(self):
-        got = star({W("c")}, R("sw=ne"), Bounds(3, 3, 9))
+        bounds = Bounds(3, 3, 9)
+        got = star({W("c")}, R("sw=ne"), bounds, Budget(bounds.node_budget))
         assert got == frozenset(
             {W("c"), W(".c", "c."), W("..c", ".c.", "c..")}
         )
 
     def test_empty_base(self):
-        assert star(set(), R("e=w"), Bounds(3, 3, 9)) == frozenset()
+        bounds = Bounds(3, 3, 9)
+        assert star(set(), R("e=w"), bounds, Budget(bounds.node_budget)) == frozenset()
 
     def test_contains_base_and_idempotent(self):
         bounds = Bounds(3, 3, 9)
         base = {W("a"), W("b")}
-        s = star(base, R("e=w"), bounds)
+        s = star(base, R("e=w"), bounds, Budget(bounds.node_budget))
         assert frozenset(base) <= s
-        assert star(s, R("e=w"), bounds) == s
+        assert star(s, R("e=w"), bounds, Budget(bounds.node_budget)) == s
 
     def test_resuming_equals_a_fresh_closure(self):
         rng = random.Random(3308)
@@ -367,7 +378,8 @@ class TestStar:
             except BudgetExhausted:
                 continue
             checked += 1
-            assert star(base | delta, r, bounds, closed=old) == fresh
+            budget = Budget(bounds.node_budget)
+            assert star(base | delta, r, bounds, budget, closed=old) == fresh
         assert checked >= 200, checked
 
     def test_each_pair_is_composed_once_per_round(self):

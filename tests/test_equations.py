@@ -5,7 +5,7 @@ import random
 import gridlang.compose
 import gridlang.grid
 from gridlang.compose import compose_langs
-from gridlang.grid import Bounds, Word, normalize
+from gridlang.grid import Bounds, Budget, Word, normalize
 from gridlang.expr import (
     N2RE,
     X2RE,
@@ -92,7 +92,8 @@ class TestSolve:
     def test_least_solution_of_bar_growth_is_the_star(self):
         bounds = Bounds(1, 4, 4)
         sol = solve(parse_system("X = a + X (e=w) a"), bounds)
-        star = eval_expr(parse_expr("(a *(e=w))"), {}, bounds)
+        budget = Budget(bounds.node_budget)
+        star = eval_expr(parse_expr("(a *(e=w))"), {}, bounds, budget)
         assert sol.values["X"] == star
         assert len(sol.values["X"]) == 4
 
@@ -145,11 +146,15 @@ def naive_eval(e, env, bounds):
     if isinstance(e, Compose):
         left = naive_eval(e.left, env, bounds)
         right = naive_eval(e.right, env, bounds)
-        return compose_langs(left, right, e.restriction, bounds)
+        return compose_langs(
+            left, right, e.restriction, bounds, Budget(bounds.node_budget)
+        )
     assert isinstance(e, Star)
     closure = naive_eval(e.body, env, bounds)
     while True:
-        grown = closure | compose_langs(closure, closure, e.restriction, bounds)
+        grown = closure | compose_langs(
+            closure, closure, e.restriction, bounds, Budget(bounds.node_budget)
+        )
         if grown == closure:
             return closure
         closure = grown

@@ -11,7 +11,7 @@ from gridlang.compose import (
     format_restriction,
     parse_restriction,
 )
-from gridlang.grid import Bounds, Selector, Word
+from gridlang.grid import Bounds, Budget, Selector, Word
 from gridlang.expr import (
     Atom,
     Compose,
@@ -278,43 +278,55 @@ class TestSystems:
 
 class TestEval:
     def test_atom(self):
-        assert eval_expr(parse_expr("a"), {}, Bounds(2, 2, 4)) == {W("a")}
+        b = Bounds(2, 2, 4)
+        assert eval_expr(parse_expr("a"), {}, b, Budget(b.node_budget)) == {W("a")}
 
     def test_sum(self):
-        assert eval_expr(parse_expr("a + b"), {}, Bounds(2, 2, 4)) == {
+        b = Bounds(2, 2, 4)
+        assert eval_expr(parse_expr("a + b"), {}, b, Budget(b.node_budget)) == {
             W("a"),
             W("b"),
         }
 
     def test_sum_idempotent(self):
         b = Bounds(2, 2, 4)
-        assert eval_expr(parse_expr("a + a"), {}, b) == eval_expr(
-            parse_expr("a"), {}, b
-        )
+        twice = eval_expr(parse_expr("a + a"), {}, b, Budget(b.node_budget))
+        assert twice == eval_expr(parse_expr("a"), {}, b, Budget(b.node_budget))
 
     def test_compose(self):
-        assert eval_expr(parse_expr("a (e=w) b"), {}, Bounds(1, 2, 2)) == {W("ab")}
+        b = Bounds(1, 2, 2)
+        assert eval_expr(parse_expr("a (e=w) b"), {}, b, Budget(b.node_budget)) == {
+            W("ab")
+        }
 
     def test_star_chain(self):
-        lang = eval_expr(parse_expr("(0 *(e=w)) (e=w) 2"), {}, Bounds(1, 3, 3))
+        b = Bounds(1, 3, 3)
+        lang = eval_expr(
+            parse_expr("(0 *(e=w)) (e=w) 2"), {}, b, Budget(b.node_budget)
+        )
         assert lang == {W("02"), W("002")}
 
     def test_bounds_monotone(self):
-        small = eval_expr(parse_expr("(0 *(e=w)) (e=w) 2"), {}, Bounds(1, 3, 3))
-        big = eval_expr(parse_expr("(0 *(e=w)) (e=w) 2"), {}, Bounds(1, 5, 5))
+        e = parse_expr("(0 *(e=w)) (e=w) 2")
+        b_small, b_big = Bounds(1, 3, 3), Bounds(1, 5, 5)
+        small = eval_expr(e, {}, b_small, Budget(b_small.node_budget))
+        big = eval_expr(e, {}, b_big, Budget(b_big.node_budget))
         assert small <= big
         assert W("00002") in big
 
     def test_var_lookup_and_bounds_filter(self):
         env = {"X": {W("a"), W("aaa")}}
-        assert eval_expr(parse_expr("X"), env, Bounds(2, 2, 4)) == {W("a")}
+        b = Bounds(2, 2, 4)
+        assert eval_expr(parse_expr("X"), env, b, Budget(b.node_budget)) == {W("a")}
 
     def test_var_normalizes(self):
         shifted = Word(((3, 4, "a"),))
-        assert eval_expr(parse_expr("X"), {"X": {shifted}}, Bounds(1, 1, 1)) == {
-            W("a")
-        }
+        b = Bounds(1, 1, 1)
+        assert eval_expr(
+            parse_expr("X"), {"X": {shifted}}, b, Budget(b.node_budget)
+        ) == {W("a")}
 
     def test_unbound_variable(self):
+        b = Bounds(1, 1, 1)
         with pytest.raises(ValueError, match="unbound variable X"):
-            eval_expr(parse_expr("X"), {}, Bounds(1, 1, 1))
+            eval_expr(parse_expr("X"), {}, b, Budget(b.node_budget))

@@ -114,8 +114,8 @@ def compose_suite() -> dict[str, int]:
         l2 = frozenset({w})
         l1_big = l1 | {random_word(rng, size=2, letters="ab")}
         l2_big = l2 | {random_word(rng, size=2, letters="ab")}
-        small = compose_langs(l1, l2, r, bounds)
-        big = compose_langs(l1_big, l2_big, r, bounds)
+        small = compose_langs(l1, l2, r, bounds, Budget(bounds.node_budget))
+        big = compose_langs(l1_big, l2_big, r, bounds, Budget(bounds.node_budget))
         if not small <= big:
             stats["bad_monotone"] += 1
     return stats
