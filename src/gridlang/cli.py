@@ -270,6 +270,8 @@ def _load_protocol(args: argparse.Namespace):
 
 
 def _cmd_validate(args: argparse.Namespace, out: TextIO) -> int:
+    if args.node_budget is not None and not args.execute:
+        raise _usage("--node-budget needs --execute")
     budget = args.node_budget if args.node_budget is not None else 100_000
     if budget < 1:
         raise _usage(f"node_budget must be a positive integer, got {budget!r}")
@@ -396,7 +398,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modules", required=True, help="'protocol' or a library file")
     p.add_argument("--scenario", default=None)
     p.add_argument("--execute", action="store_true", help="also search for a completion")
-    p.add_argument("--node-budget", type=int, default=None)
+    p.add_argument(
+        "--node-budget", type=int, default=None, help="bounds --execute's search"
+    )
     common(p, bounds=False)
     p.set_defaults(func=_cmd_validate)
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Optional
 
 Pos = tuple[int, int]
 
@@ -182,6 +183,25 @@ class Word:
     def from_map(cls, cells: dict[Pos, str]) -> "Word":
         return cls(tuple((r, c, letter) for (r, c), letter in cells.items()))
 
+    @classmethod
+    def _trusted(
+        cls, cells: tuple[tuple[int, int, str], ...], rendering: Optional[str] = None
+    ) -> "Word":
+        """A word built without validation, for internal callers whose
+        cells are valid by construction.
+
+        Trust contract: `cells` is non-empty, sorted, free of duplicate
+        positions, with integral positions and good letters, exactly as
+        `__post_init__` would leave it. A given `rendering` must equal what
+        the `rendering` property computes; it is stored, not recomputed.
+        Nothing is checked. Public `Word(...)` and the parsers validate.
+        """
+        w = object.__new__(cls)
+        w.__dict__["cells"] = cells
+        if rendering is not None:
+            w.__dict__["rendering"] = rendering
+        return w
+
     @cached_property
     def cell_map(self) -> dict[Pos, str]:
         return {(r, c): letter for r, c, letter in self.cells}
@@ -196,6 +216,21 @@ class Word:
         rows = [r for r, _, _ in self.cells]
         cols = [c for _, c, _ in self.cells]
         return (min(rows), min(cols), max(rows), max(cols))
+
+    @cached_property
+    def rendering(self) -> str:
+        """The bounding box drawn one text row per lattice row, '.' where
+        empty, rows joined by newlines; the same for every translation.
+
+        A word made by `_trusted` may hold it primed. The builder vouches
+        for it as for the cells (sorted, duplicate-free, good letters): it
+        is what this property computes, and it is never checked.
+        """
+        r0, c0, r1, c1 = self.bbox
+        rows = [[FILLER] * (c1 - c0 + 1) for _ in range(r1 - r0 + 1)]
+        for r, c, letter in self.cells:
+            rows[r - r0][c - c0] = letter
+        return "\n".join(map("".join, rows))
 
     @property
     def height(self) -> int:
@@ -246,7 +281,17 @@ class Word:
 
 
 def translate(w: Word, dr: int, dc: int) -> Word:
-    return Word(tuple((r + dr, c + dc, letter) for r, c, letter in w.cells))
+    """Shift every cell by (dr, dc).
+
+    An integral shift keeps a valid word's cells sorted, distinct and
+    well lettered, so the result is built trusted.
+    """
+    if not isinstance(dr, int) or not isinstance(dc, int):
+        raise ValueError(f"shift must be integral: ({dr!r}, {dc!r})")
+    return Word._trusted(
+        tuple((r + dr, c + dc, letter) for r, c, letter in w.cells),
+        w.__dict__.get("rendering"),
+    )
 
 
 def normalize(w: Word) -> Word:
@@ -316,17 +361,13 @@ def select(w: Word, sel: Selector) -> frozenset[Element]:
 
 def render_ascii(w: Word) -> str:
     """One text row per lattice row of the bounding box, '.' when empty."""
-    r0, c0, r1, c1 = w.bbox
-    cmap = w.cell_map
-    return "\n".join(
-        "".join(cmap.get((r, c), FILLER) for c in range(c0, c1 + 1))
-        for r in range(r0, r1 + 1)
-    )
+    return w.rendering
 
 
 def word_sort_key(w: Word) -> tuple[int, str]:
-    """Stable listing order: fewest cells first, then row-major rendering."""
-    return (len(w.cells), render_ascii(normalize(w)).replace("\n", "/"))
+    """Stable listing order: fewest cells first, then row-major rendering
+    with '/' between rows."""
+    return (len(w.cells), w.rendering.replace("\n", "/"))
 
 
 class BudgetExhausted(RuntimeError):

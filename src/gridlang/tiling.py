@@ -32,6 +32,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .grid import (
+    FILLER,
     Bounds,
     Budget,
     BudgetExhausted,
@@ -432,11 +433,15 @@ def _search(f: TileSystem, bounds: Bounds, budget: Budget) -> Iterator[Word]:
 
     Depth first over the box with an explicit stack of child iterators.
     Letters are chosen, not tiles, so a word that several tile
-    assignments realize is reached once.
+    assignments realize is reached once. A finished path is row-major,
+    normalized, duplicate-free and lettered by tiles, so it makes a
+    trusted word, primed with its rendering: the path's rows cut to the
+    word's width, down to its last row.
     """
-    total = bounds.max_rows * bounds.max_cols
+    cols = bounds.max_cols
+    total = bounds.max_rows * cols
     children = _walk(f, bounds, budget)
-    stack = [iter(children(0, (0, False, False, _start(bounds.max_cols))))]
+    stack = [iter(children(0, (0, False, False, _start(cols))))]
     path: list[Optional[Cell]] = []  # the cell filled at each decided step
     while stack:
         move = next(stack[-1], None)
@@ -451,7 +456,11 @@ def _search(f: TileSystem, bounds: Bounds, budget: Budget) -> Iterator[Word]:
             stack.append(iter(children(len(path), state)))
             continue
         if state[1] and state[2]:
-            yield Word(tuple(filter(None, path)))
+            cells = tuple(filter(None, path))
+            width = max(c for _, c, _ in cells) + 1
+            drawn = "".join([FILLER if p is None else p[2] for p in path])
+            rows = range(0, (cells[-1][0] + 1) * cols, cols)
+            yield Word._trusted(cells, "\n".join([drawn[i : i + width] for i in rows]))
         path.pop()
 
 

@@ -1,6 +1,7 @@
 """Command-line verbs, exit codes, output determinism."""
 
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -10,9 +11,12 @@ from pathlib import Path
 import pytest
 
 import gridlang
+from conftest import W
 from gridlang.cli import run
 from gridlang.equations import corpus_text
+from gridlang.grid import Bounds, Word, word_sort_key
 from gridlang.interact import builtin_protocol, format_scenario
+from gridlang.tiling import enumerate_language, parse_two_color, word_accepted
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -79,6 +83,75 @@ class TestEnum:
         )
         assert code == 1
         assert text.rstrip().endswith("partial: node budget exhausted")
+
+    @pytest.mark.parametrize("budget", ["300", "5000"])
+    @pytest.mark.parametrize("fmt", ["records", "ascii"])
+    def test_partial_output_is_a_sorted_listing_of_language_words(self, budget, fmt):
+        argv = (
+            "enum", "--sats", "F02ac.c", "--max-cells", "5", "--node-budget", budget,
+            "--format", fmt,
+        )
+        code, text = go(*argv, "--jobs", "1")
+        assert go(*argv, "--jobs", "4") == (code, text)
+        assert code == 1
+        body, marker = text.rstrip("\n").rsplit("\n", 1)
+        assert marker == "partial: node budget exhausted"
+        if fmt == "records":
+            words = [
+                Word(tuple(map(tuple, json.loads(line)["cells"])))
+                for line in body.split("\n")
+            ]
+        else:
+            words = [W(*block.split("\n")) for block in body.split("\n\n")]
+        keys = [word_sort_key(w) for w in words]
+        assert keys == sorted(set(keys))  # sorted and distinct
+        f = parse_two_color("F02ac.c")
+        full = enumerate_language(f, Bounds(5, 5, 5))
+        assert all(word_accepted(f, w) and w in full for w in words)
+
+    def test_letters_needing_escapes_list_like_fresh_words(self, tmp_path):
+        # '#' sorts below the '/' between rows of a sort key but above a
+        # newline, so the order shows which separator the key uses.
+        letters = '"\\/#\u00e9'
+        path = tmp_path / "escapes.sats"
+        path.write_text(
+            "".join(f"tile {ch} w=0 n=0 e=0 s=0\n" for ch in letters)
+            + "accept w={0} n={0} e={0} s={0}\n"
+        )
+        # Every word of up to 3 cells in a 2x2 box, built from scratch.
+        spots = [(0, 0), (0, 1), (1, 0), (1, 1)]
+        expected = [
+            tuple((r, c, ch) for (r, c), ch in zip(shape, chars))
+            for n in (1, 2, 3)
+            for shape in itertools.combinations(spots, n)
+            if min(r for r, _ in shape) == 0 and min(c for _, c in shape) == 0
+            for chars in itertools.product(letters, repeat=n)
+        ]
+
+        def picture(cells):
+            grid = {(r, c): ch for r, c, ch in cells}
+            height = max(r for r, _, _ in cells) + 1
+            width = max(c for _, c, _ in cells) + 1
+            return [
+                "".join(grid.get((r, c), ".") for c in range(width))
+                for r in range(height)
+            ]
+
+        expected.sort(key=lambda cells: (len(cells), "/".join(picture(cells))))
+        box = ("--sats", str(path), "--max-rows", "2", "--max-cols", "2", "--max-cells", "3")
+        code, records = go("enum", *box, "--format", "records")
+        assert code == 0
+        assert records.splitlines() == [
+            json.dumps(
+                {"cells": [list(cell) for cell in Word(cells).cells]},
+                separators=(",", ":"),
+                sort_keys=True,
+            )
+            for cells in expected
+        ]
+        code, ascii_ = go("enum", *box)
+        assert code == 0
+        assert ascii_ == "\n\n".join("\n".join(picture(c)) for c in expected) + "\n"
 
     def test_sats_file_path(self, tmp_path):
         path = tmp_path / "example.sats"
@@ -339,6 +412,11 @@ class TestValidate:
         assert (code, text) == (2, "")
         err = capsys.readouterr().err
         assert err == "error: node_budget must be a positive integer, got 0\n"
+
+    def test_node_budget_without_execute_is_a_usage_error(self, capsys):
+        code, text = go("validate", "--modules", "protocol", "--node-budget", "1")
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err == "error: --node-budget needs --execute\n"
 
     def test_missing_scenario_file_is_a_usage_error(self, tmp_path, capsys):
         path = tmp_path / "missing.imod"

@@ -76,6 +76,26 @@ class TestNormalize:
         assert n == Word(((0, 5, "a"), (4, 0, "b")))
 
 
+class TestTranslate:
+    def test_matches_the_validated_shift(self):
+        rng = random.Random(808)
+        for i in range(1000):
+            w = random_word(rng, size=6, letters="abc")
+            if i % 2:
+                render_ascii(w)  # a cached rendering carries over
+            dr, dc = rng.randint(-9, 9), rng.randint(-9, 9)
+            moved = translate(w, dr, dc)
+            fresh = Word(tuple((r + dr, c + dc, ch) for r, c, ch in w.cells))
+            assert moved == fresh and hash(moved) == hash(fresh)
+            assert moved.cells == fresh.cells
+            assert render_ascii(moved) == render_ascii(fresh)
+            assert word_sort_key(moved) == word_sort_key(fresh)
+
+    def test_non_integral_shift_rejected(self):
+        with pytest.raises(ValueError):
+            translate(W("ab"), 0.5, 0)
+
+
 class TestHvComponents:
     def test_single_cell(self):
         assert hv_components(W("a")) == [frozenset({(0, 0)})]

@@ -4,7 +4,14 @@ import itertools
 
 import pytest
 
-from gridlang.grid import Bounds, BudgetExhausted, Word, normalize
+from gridlang.grid import (
+    Bounds,
+    BudgetExhausted,
+    Word,
+    normalize,
+    render_ascii,
+    word_sort_key,
+)
 from gridlang.tiling import (
     LanguageDiff,
     Nfa,
@@ -346,6 +353,21 @@ class TestEnumerate:
         )
         assert enumerate_language(f, Bounds(2, 1, 2)) == {W("a", "a")}
         assert enumerate_language(f, Bounds(2, 2, 4)) == brute_language(f, 2, 2, 4)
+
+    def test_trusted_words_equal_validated_words(self):
+        two_per_letter = parse_tile_system(
+            "tile a w=0 n=0 e=0 s=0\n"
+            "tile a w=0 n=0 e=0 s=1\n"
+            "accept w={0} n={0} e={0} s={0,1}\n"
+        )
+        for f, bounds in [(F, Bounds(4, 4, 6)), (two_per_letter, Bounds(3, 3, 6))]:
+            lang = enumerate_language(f, bounds)
+            assert lang
+            for w in lang:
+                fresh = Word(w.cells)
+                assert w == fresh and hash(w) == hash(fresh)
+                assert render_ascii(w) == render_ascii(fresh)
+                assert word_sort_key(w) == word_sort_key(fresh)
 
     def test_budget_exhaustion_carries_partial(self):
         with pytest.raises(BudgetExhausted) as exc:
