@@ -82,9 +82,9 @@ def _resolve_bounds(args: argparse.Namespace) -> Bounds:
     if rows is None and cols is None and cells is None:
         raise _usage("give at least one of --max-rows, --max-cols, --max-cells")
     if rows is None:
-        rows = cells if cells is not None else None
+        rows = cells
     if cols is None:
-        cols = cells if cells is not None else None
+        cols = cells
     if rows is None or cols is None:
         raise _usage("--max-cells alone or both of --max-rows/--max-cols are needed")
     if cells is None:

@@ -19,8 +19,10 @@ and '#' needs a common element by definition.
 
 Composition places the second word at every integer offset where the
 two closed regions share at least one lattice point, cells stay
-disjoint, and the restriction holds. Restricted iteration (star) closes
-a language under composing with it on the right, inside given bounds.
+disjoint, and the restriction holds. Candidate offsets come from the
+comparisons on the conjunction spine, or else from contact. Restricted
+iteration (star) closes a language under composing with it on the
+right, inside given bounds.
 
 Concrete restriction syntax: selectors w, n, e, s, nw, ne, sw, se and
 the primed golf kinds, with an optional extremeness prefix 'x' or
@@ -40,13 +42,13 @@ from .grid import (
     FILTER_NONEXTREME,
     Bounds,
     Budget,
+    Key,
     Selector,
     Word,
     normalize,
-    select,
+    select,  # unused here; perfbench/layers.py wraps `compose.select`
 )
 
-Key = tuple[str, int, int]
 Offset = tuple[int, int]
 
 COMPARISON_OPS = ("=", "<", ">", "#")
@@ -290,13 +292,6 @@ def uses_extremeness(r: Restriction) -> bool:
 # Evaluation
 
 
-def _selected_keys(w: Word, sel: Selector) -> frozenset[Key]:
-    keys = w.selected_keys.get(sel)
-    if keys is None:
-        keys = w.selected_keys[sel] = frozenset(el.key for el in select(w, sel))
-    return keys
-
-
 def _comparison_holds(
     a: frozenset[Key], op: str, b: frozenset[Key], dr: int, dc: int
 ) -> bool:
@@ -318,7 +313,7 @@ def _holds_at(r: Restriction, v: Word, w: Word, dr: int, dc: int) -> bool:
         return True
     if isinstance(r, Comparison):
         return _comparison_holds(
-            _selected_keys(v, r.left), r.op, _selected_keys(w, r.right), dr, dc
+            v.selection(r.left), r.op, w.selection(r.right), dr, dc
         )
     if isinstance(r, Not):
         return not _holds_at(r.item, v, w, dr, dc)
@@ -354,28 +349,19 @@ def _atom_offsets(
     atom: Comparison, v: Word, w: Word
 ) -> Optional[frozenset[Offset]]:
     """Offsets at which one comparison could hold; None means no information."""
-    a = _selected_keys(v, atom.left)
-    b = _selected_keys(w, atom.right)
-    if atom.op == "=":
-        if not a and not b:
-            return None  # holds at every offset
-        if not a or not b:
-            return frozenset()  # can never hold
-        ax0, r0, c0 = min(b)
-        return frozenset((r - r0, c - c0) for ax, r, c in a if ax == ax0)
+    a = v.selection(atom.left)
+    b = w.selection(atom.right)
+    if not a or not b:
+        # Two empty selections are equal at every offset; any other
+        # comparison with an empty side never holds.
+        return None if atom.op == "=" and not a and not b else frozenset()
     if atom.op == "<":
-        if not a or not b:
-            return frozenset()
         ax0, r0, c0 = min(a)
         return frozenset((r0 - r, c0 - c) for ax, r, c in b if ax == ax0)
-    if atom.op == ">":
-        if not a or not b:
-            return frozenset()
+    if atom.op in ("=", ">"):
         ax0, r0, c0 = min(b)
         return frozenset((r - r0, c - c0) for ax, r, c in a if ax == ax0)
     # '#'
-    if not a or not b:
-        return frozenset()
     return frozenset(
         (ar - br, ac - bc)
         for ax_a, ar, ac in a
@@ -384,9 +370,15 @@ def _atom_offsets(
     )
 
 
-def _candidate_offsets(
-    r: Restriction, v: Word, w: Word
-) -> Optional[frozenset[Offset]]:
+def _lattice_points(w: Word) -> set[Offset]:
+    return {(r + a, c + b) for r, c, _ in w.cells for a in (0, 1) for b in (0, 1)}
+
+
+def _candidate_offsets(r: Restriction, v: Word, w: Word) -> frozenset[Offset]:
+    """Offsets of w that every comparison on the conjunction spine allows,
+    or, when none gives information, those sharing a cell-corner lattice
+    point with v. A spine comparison that holds makes the placed contours
+    share an element, hence a lattice point: contact needs no own test."""
     cands: Optional[frozenset[Offset]] = None
     for atom in _positive_atoms(r):
         offs = _atom_offsets(atom, v, w)
@@ -395,61 +387,27 @@ def _candidate_offsets(
         cands = offs if cands is None else (cands & offs)
         if not cands:
             return frozenset()
-    return cands
-
-
-def _contact_window(v: Word, w: Word) -> Iterable[Offset]:
-    hv, wv = v.height, v.width
-    hw, ww = w.height, w.width
-    return (
-        (dr, dc)
-        for dr in range(-hw, hv + 1)
-        for dc in range(-ww, wv + 1)
-    )
-
-
-def _placements(
-    r: Restriction,
-    v: Word,
-    w: Word,
-    offsets: Iterable[Offset],
-    check_contact: bool,
-) -> frozenset[Word]:
-    occ_v = v.positions
-    out: set[Word] = set()
-    for dr, dc in offsets:
-        placed = [(pr + dr, pc + dc) for pr, pc, _ in w.cells]
-        if any(p in occ_v for p in placed):
-            continue  # overlap
-        if check_contact and not any(
-            (pr + a, pc + b) in occ_v
-            for pr, pc in placed
-            for a in (-1, 0, 1)
-            for b in (-1, 0, 1)
-        ):
-            continue  # closed regions never touch
-        if not _holds_at(r, v, w, dr, dc):
-            continue
-        merged = v.cells + tuple(
-            (pr + dr, pc + dc, letter) for pr, pc, letter in w.cells
-        )
-        out.add(normalize(Word(merged)))
-    return frozenset(out)
-
-
-def _contact_results(r: Restriction, v: Word, w: Word) -> frozenset[Word]:
-    cands = _candidate_offsets(r, v, w)
     if cands is None:
-        return _placements(r, v, w, _contact_window(v, w), check_contact=True)
-    # Candidates come from a comparison on the conjunction spine, and when
-    # it holds the two placed contours share an element, hence a lattice
-    # point: contact needs no separate test.
-    return _placements(r, v, w, cands, check_contact=False)
+        points_w = _lattice_points(w)
+        cands = frozenset(
+            (pr - qr, pc - qc) for pr, pc in _lattice_points(v) for qr, qc in points_w
+        )
+    return cands
 
 
 def compose_words(v: Word, w: Word, r: Restriction) -> frozenset[Word]:
     """All normalized joint placements of v and w satisfying the restriction."""
-    return _contact_results(r, normalize(v), normalize(w))
+    v, w = normalize(v), normalize(w)
+    occ_v = v.positions
+    out: set[Word] = set()
+    for dr, dc in _candidate_offsets(r, v, w):
+        placed = tuple((pr + dr, pc + dc, letter) for pr, pc, letter in w.cells)
+        if any((pr, pc) in occ_v for pr, pc, _ in placed):
+            continue  # overlap
+        if not _holds_at(r, v, w, dr, dc):
+            continue
+        out.add(normalize(Word._trusted(tuple(sorted(v.cells + placed)))))
+    return frozenset(out)
 
 
 def compose_langs(
@@ -473,7 +431,7 @@ def compose_langs(
         v = normalize(v)
         budget.charge(len(right))
         for w in right[: bisect_right(sizes, bounds.max_cells - len(v))]:
-            for res in _contact_results(r, v, w):
+            for res in compose_words(v, w, r):
                 if bounds.admits(res):
                     out.add(res)
     return frozenset(out)

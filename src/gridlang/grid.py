@@ -28,7 +28,8 @@ There are 12 kinds:
 
 An extreme cell has at most one occupied cell among the 8 positions
 around it. Selectors pick contour elements by kind with an optional
-extremeness filter applied to the elements' inside cells.
+extremeness filter applied to the elements' inside cells. A word keeps
+each selection it is asked for as a set of keys (axis, row, col).
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from functools import cached_property
 from typing import Optional
 
 Pos = tuple[int, int]
+Key = tuple[str, int, int]  # (axis, row, col): an element's place, whatever its kind
 
 FILLER = "."
 
@@ -95,6 +97,25 @@ def _kinds(mask: int) -> tuple[str, ...]:
 
 _KIND_TABLE = tuple(_kinds(mask) for mask in range(16))
 
+# Element kind -> its axis class: 'v' vertical edge, 'h' horizontal edge,
+# 'p' lattice point.
+_AXIS = {"w": "v", "e": "v", "n": "h", "s": "h"} | dict.fromkeys(CORNER_KINDS, "p")
+
+# Element kind -> the cells it touches around its lattice point: both cells
+# of a side's edge, or the four cells around a corner.
+_TOUCHED = {
+    kind: inside + outside if kind in SIDE_KINDS else _AROUND_POINT
+    for kind, (inside, outside) in _PATTERNS.items()
+}
+
+
+def _inside_cells(occ: frozenset[Pos], kind: str, pr: int, pc: int) -> frozenset[Pos]:
+    """The occupied cells among those an element of `kind` at (pr, pc) touches."""
+    return frozenset(
+        (pr + dr, pc + dc) for dr, dc in _TOUCHED[kind] if (pr + dr, pc + dc) in occ
+    )
+
+
 _AROUND8 = tuple(
     (dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1) if (dr, dc) != (0, 0)
 )
@@ -115,14 +136,10 @@ class Element:
     @property
     def axis(self) -> str:
         """'v' for vertical edges, 'h' for horizontal edges, 'p' for points."""
-        if self.kind in ("w", "e"):
-            return "v"
-        if self.kind in ("n", "s"):
-            return "h"
-        return "p"
+        return _AXIS[self.kind]
 
     @property
-    def key(self) -> tuple[str, int, int]:
+    def key(self) -> Key:
         """Geometric identity used when elements of different kinds meet."""
         return (self.axis, self.row, self.col)
 
@@ -195,6 +212,10 @@ class Word:
         `__post_init__` would leave it. A given `rendering` must equal what
         the `rendering` property computes; it is stored, not recomputed.
         Nothing is checked. Public `Word(...)` and the parsers validate.
+
+        Callers: `translate` (an integral shift), the tile search in
+        `tiling` (cells read off row-major), and `compose.compose_words`
+        (the sorted union of two valid words its overlap test keeps apart).
         """
         w = object.__new__(cls)
         w.__dict__["cells"] = cells
@@ -241,10 +262,10 @@ class Word:
         return self.bbox[3] - self.bbox[1] + 1
 
     @cached_property
-    def contour(self) -> frozenset[Element]:
-        """Every side edge and corner point on the boundary, holes included."""
+    def _contour_points(self) -> dict[str, list[Pos]]:
+        """Contour element kind -> the lattice points identifying its elements."""
         occ = self.positions
-        elems: set[Element] = set()
+        table: dict[str, list[Pos]] = {kind: [] for kind in ELEMENT_KINDS}
         # Every element sits at one of the four lattice points around an
         # occupied cell; each point is classified once by the occupancy of
         # its four cells.
@@ -257,8 +278,17 @@ class Word:
                 | ((pr, pc) in occ) << 3
             )
             for kind in _KIND_TABLE[mask]:
-                elems.add(Element(kind, pr, pc))
-        return frozenset(elems)
+                table[kind].append((pr, pc))
+        return table
+
+    @cached_property
+    def contour(self) -> frozenset[Element]:
+        """Every side edge and corner point on the boundary, holes included."""
+        return frozenset(
+            Element(kind, pr, pc)
+            for kind, points in self._contour_points.items()
+            for pr, pc in points
+        )
 
     @cached_property
     def extreme_cells(self) -> frozenset[Pos]:
@@ -271,10 +301,29 @@ class Word:
         )
 
     @cached_property
-    def selected_keys(self) -> dict[Selector, frozenset[tuple[str, int, int]]]:
-        """Keys of the elements each selector picks, filled in by callers
-        as they first read them; freed with the word."""
+    def _selections(self) -> dict[Selector, frozenset[Key]]:
         return {}
+
+    def selection(self, sel: Selector) -> frozenset[Key]:
+        """Keys (axis, row, col) of the contour elements `sel` picks, kept
+        on the word once asked for.
+
+        With a filter, an element is picked when all (extreme) or none
+        (nonextreme) of the occupied cells it touches are extreme.
+        """
+        keys = self._selections.get(sel)
+        if keys is None:
+            points = self._contour_points[sel.kind]
+            if sel.filter != FILTER_ANY:
+                occ, xs = self.positions, self.extreme_cells
+                inside = [_inside_cells(occ, sel.kind, pr, pc) for pr, pc in points]
+                if sel.filter == FILTER_EXTREME:
+                    points = [p for p, cells in zip(points, inside) if cells <= xs]
+                else:
+                    points = [p for p, cells in zip(points, inside) if not cells & xs]
+            axis = _AXIS[sel.kind]
+            keys = self._selections[sel] = frozenset((axis, pr, pc) for pr, pc in points)
+        return keys
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -338,25 +387,12 @@ def element_inside_cells(w: Word, el: Element) -> frozenset[Pos]:
     A side touches the two cells of its edge, a corner the four cells
     around its point.
     """
-    inside, outside = _PATTERNS[el.kind]
-    touched = inside + outside if el.kind in SIDE_KINDS else _AROUND_POINT
-    occ = w.positions
-    return frozenset(
-        (el.row + dr, el.col + dc)
-        for dr, dc in touched
-        if (el.row + dr, el.col + dc) in occ
-    )
+    return _inside_cells(w.positions, el.kind, el.row, el.col)
 
 
 def select(w: Word, sel: Selector) -> frozenset[Element]:
     """Contour elements of one kind, optionally filtered by extremeness."""
-    elems = frozenset(el for el in w.contour if el.kind == sel.kind)
-    if sel.filter == FILTER_ANY:
-        return elems
-    xs = w.extreme_cells
-    if sel.filter == FILTER_EXTREME:
-        return frozenset(el for el in elems if element_inside_cells(w, el) <= xs)
-    return frozenset(el for el in elems if not (element_inside_cells(w, el) & xs))
+    return frozenset(Element(sel.kind, r, c) for _, r, c in w.selection(sel))
 
 
 def render_ascii(w: Word) -> str:

@@ -13,7 +13,8 @@ import pytest
 import gridlang
 from conftest import W
 from gridlang.cli import run
-from gridlang.equations import corpus_text
+from gridlang.equations import corpus_text, solve
+from gridlang.expr import parse_system
 from gridlang.grid import Bounds, Word, word_sort_key
 from gridlang.interact import builtin_protocol, format_scenario
 from gridlang.tiling import enumerate_language, parse_two_color, word_accepted
@@ -164,6 +165,13 @@ class TestEnum:
         code, _ = go("enum", "--sats", "F02ac.c")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "bounds", [("--max-rows", "3"), ("--max-cells", "0")], ids=["rows-alone", "zero-cells"]
+    )
+    def test_unusable_bounds_are_a_usage_error(self, bounds, capsys):
+        assert go("enum", "--sats", "F02ac.c", *bounds) == (2, "")
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_bad_notation_is_a_usage_error(self):
         code, _ = go("enum", "--sats", "ZZZ", "--max-cells", "1")
         assert code == 2
@@ -224,6 +232,51 @@ class TestEvalAndSolve:
         code, text = go("solve", "--file", str(path), "--max-rows", "1", "--max-cols", "2")
         assert code == 0
         assert text == "A: 2 words\na\n\naa\n\n"
+
+
+class TestUnsaturatedSolve:
+    """A node budget that stops the solver after 6 rounds: every verb that
+    solves first marks its output partial and exits 1."""
+
+    BOUNDS = ("--max-rows", "6", "--max-cols", "6", "--max-cells", "12", "--node-budget", "200")
+    MARKER = "partial: node budget exhausted"
+
+    def test_solve_records_match_the_library(self):
+        code, text = go("solve", "--system", "f02ac", *self.BOUNDS, "--format", "records")
+        assert code == 1
+        record, marker = text.splitlines()
+        assert marker == self.MARKER
+        doc = json.loads(record)
+        assert doc["saturated"] is False and doc["iterations"] == 6
+        sol = solve(parse_system(corpus_text("f02ac.t2d")), Bounds(6, 6, 12, node_budget=200))
+        assert not sol.saturated and sol.iterations == 6
+        assert doc["values"] == {
+            name: [
+                {"cells": [list(cell) for cell in w.cells]}
+                for w in sorted(words, key=word_sort_key)
+            ]
+            for name, words in sol.values.items()
+        }
+
+    def test_solve_lists_then_marks(self):
+        code, text = go("solve", "--system", "f02ac", *self.BOUNDS)
+        assert code == 1
+        assert text.startswith("X1: 6 words\n")
+        assert text.endswith("X11: 0 words\n" + self.MARKER + "\n")
+
+    def test_render_lists_words_before_the_marker(self):
+        code, text = go("render", "--system", "f02ac", "--var", "X1", *self.BOUNDS)
+        assert code == 1
+        listing, marker = text.rstrip("\n").rsplit("\n", 1)
+        assert marker == self.MARKER
+        words = listing.split("\n\n")
+        assert len(words) == 6 and words[0] == "c" and words[-1].endswith("c.....")
+
+    @pytest.mark.parametrize(
+        "verb", [("eval", "--expr", "X11"), ("diff", "--sats", "F02ac.c")], ids=["eval", "diff"]
+    )
+    def test_eval_and_diff_print_only_the_marker(self, verb):
+        assert go(*verb, "--system", "f02ac", *self.BOUNDS) == (1, self.MARKER + "\n")
 
 
 class TestBuiltinSystems:
@@ -324,6 +377,28 @@ class TestBenchEntry:
         calls = json.loads(trace.read_text())
         for layer in layers:
             assert calls.get(layer + ".calls", 0) >= 1, layer
+
+
+    def test_tracer_finds_every_name_it_wraps(self):
+        # The tracer replaces module attributes by name; one that a refactor
+        # drops makes install() raise instead of tracing.
+        code = (
+            "import io, json, layers\n"
+            "tracer = layers.install()\n"
+            "import gridlang.cli as cli\n"
+            "rc = cli.run(['solve', '--system', 'squares', '--max-cells', '5'], io.StringIO())\n"
+            "print(json.dumps({'rc': rc, **tracer.stats}))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
+        res = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert res.returncode == 0, res.stderr
+        stats = json.loads(res.stdout.splitlines()[-1])
+        assert stats["rc"] == 0
+        assert stats["cli.run.calls"] > 0
+        assert stats["compose.compose_langs.calls"] > 0
 
 
 class TestRender:

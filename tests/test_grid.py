@@ -6,6 +6,8 @@ import pytest
 
 from conftest import W, random_word
 from gridlang.grid import (
+    ELEMENT_KINDS,
+    FILTERS,
     Bounds,
     Element,
     Selector,
@@ -345,6 +347,64 @@ class TestSelect:
             Selector("q")
         with pytest.raises(ValueError):
             Selector("w", "sometimes")
+
+
+def touched_cells(el: Element):
+    """The cells an element touches, spelt out: both cells of a side's edge
+    (west and east of a vertical one, north and south of a horizontal one),
+    or the four cells around a corner point."""
+    r, c = el.row, el.col
+    if el.kind in ("w", "e"):
+        return {(r, c - 1), (r, c)}
+    if el.kind in ("n", "s"):
+        return {(r - 1, c), (r, c)}
+    return {(r - 1, c - 1), (r - 1, c), (r, c - 1), (r, c)}
+
+
+def brute_extreme_cells(w: Word):
+    occ = w.positions
+    return {
+        (r, c)
+        for r, c in occ
+        if sum(
+            (r + dr, c + dc) in occ
+            for dr in (-1, 0, 1)
+            for dc in (-1, 0, 1)
+            if (dr, dc) != (0, 0)
+        )
+        <= 1
+    }
+
+
+class TestSelectionDefinition:
+    SELECTORS = [Selector(k, f) for k in ELEMENT_KINDS for f in FILTERS]
+
+    def test_select_and_selection_match_the_pattern_contour(self):
+        assert len(self.SELECTORS) == 36
+        rng = random.Random(909)
+        for _ in range(1000):
+            w = random_word(rng)
+            elems = pattern_contour(w)
+            occ, xs = w.positions, brute_extreme_cells(w)
+            for sel in self.SELECTORS:
+                want = set()
+                for el in elems:
+                    if el.kind != sel.kind:
+                        continue
+                    inside = touched_cells(el) & occ
+                    if sel.filter == "extreme" and not all(p in xs for p in inside):
+                        continue
+                    if sel.filter == "nonextreme" and any(p in xs for p in inside):
+                        continue
+                    want.add(el)
+                got = select(w, sel)
+                assert got == want, (render_ascii(w), sel)
+                assert w.selection(sel) == {el.key for el in got}, (render_ascii(w), sel)
+
+    def test_selection_is_kept_on_the_word(self):
+        w = W("a.", "aa")
+        sel = Selector("sw'", "nonextreme")
+        assert w.selection(sel) is w.selection(sel)
 
 
 class TestRenderAndText:

@@ -414,6 +414,22 @@ class TestExecution:
                 node_budget=3,
             )
 
+    def test_search_backtracks_past_a_dead_end(self):
+        # A's first output (east 1) leaves B with no rule, so the search
+        # undoes A's border and takes its second output (east 2).
+        lib = parse_module_library(
+            "module A: <_ | _> -> <1 | _>\n"
+            "module A: <_ | _> -> <2 | _>\n"
+            "module B: <2 | _> -> <_ | _>\n"
+        )
+        layout = {(0, 0): "A", (0, 1): "B"}
+        done = complete_scenario(lib, layout, node_budget=3)
+        assert done.cell_map[(0, 0)].east == Num(2)
+        assert done.cell_map[(0, 1)].west == Num(2)
+        assert validate_scenario(done, lib).valid
+        with pytest.raises(BudgetExhausted):
+            complete_scenario(lib, layout, node_budget=2)
+
     def test_long_run_does_not_recurse(self):
         # 1,500 cells deep, past the recursion limit.
         layout = {(r, 0): "0" for r in range(1500)}
