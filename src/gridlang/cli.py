@@ -81,6 +81,10 @@ def _resolve_bounds(args: argparse.Namespace) -> Bounds:
     rows, cols, cells = args.max_rows, args.max_cols, args.max_cells
     if rows is None and cols is None and cells is None:
         raise _usage("give at least one of --max-rows, --max-cols, --max-cells")
+    flags = (("--max-rows", rows), ("--max-cols", cols), ("--max-cells", cells))
+    for flag, value in flags:
+        if value is not None and value < 1:
+            raise _usage(f"{flag} must be a positive integer, got {value}")
     if rows is None:
         rows = cells
     if cols is None:
@@ -156,10 +160,24 @@ def _dump(obj) -> str:
 
 
 def _emit_words(words, fmt: str, out: TextIO) -> None:
+    """Write a word listing in sort order, one records line per word or
+    the ASCII pictures separated by blank lines.
+
+    A records line is built from one JSON fragment per cell, encoded once
+    per distinct (row, col, letter) triple; it has the bytes
+    `_dump(_word_record(w))` gives, without a dict per word.
+    """
     ordered = sorted(words, key=word_sort_key)
     if fmt == "records":
+        fragments: dict[tuple[int, int, str], str] = {}
         for w in ordered:
-            print(_dump(_word_record(w)), file=out)
+            parts = []
+            for cell in w.cells:
+                frag = fragments.get(cell)
+                if frag is None:
+                    frag = fragments[cell] = json.dumps(cell, separators=(",", ":"))
+                parts.append(frag)
+            out.write('{"cells":[' + ",".join(parts) + "]}\n")
     elif ordered:
         print("\n\n".join(render_ascii(w) for w in ordered), file=out)
 
@@ -233,6 +251,8 @@ def _cmd_diff(args: argparse.Namespace, out: TextIO) -> int:
     sys_, target = _load_system(args)
     bounds = _resolve_bounds(args)
     var = _pick_var(sys_, target, args.var)
+    if args.witnesses < 0:
+        raise _usage(f"--witnesses must be a non-negative integer, got {args.witnesses}")
     sol = solve(sys_, bounds)
     if not sol.saturated:
         print(_PARTIAL_MARKER, file=out)

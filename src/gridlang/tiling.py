@@ -433,35 +433,45 @@ def _search(f: TileSystem, bounds: Bounds, budget: Budget) -> Iterator[Word]:
 
     Depth first over the box with an explicit stack of child iterators.
     Letters are chosen, not tiles, so a word that several tile
-    assignments realize is reached once. A finished path is row-major,
-    normalized, duplicate-free and lettered by tiles, so it makes a
-    trusted word, primed with its rendering: the path's rows cut to the
-    word's width, down to its last row.
+    assignments realize is reached once. The drawn characters, the letter
+    cells and the running width are kept on stacks beside the search
+    stack, so a finished path needs no pass over the box. It is
+    row-major, normalized, duplicate-free and lettered by tiles, so it
+    makes a trusted word, primed with its rendering: the drawn rows cut
+    to the word's width, down to its last row.
     """
     cols = bounds.max_cols
     total = bounds.max_rows * cols
     children = _walk(f, bounds, budget)
     stack = [iter(children(0, (0, False, False, _start(cols))))]
-    path: list[Optional[Cell]] = []  # the cell filled at each decided step
+    drawn: list[str] = []  # the character drawn at each decided step
+    cells: list[Cell] = []  # the letter cells among those steps
+    widths = [0]  # the width of the letter cells so far, after each one
     while stack:
         move = next(stack[-1], None)
         if move is None:
             stack.pop()
-            if path:
-                path.pop()
+            if drawn and drawn.pop() != FILLER:
+                del cells[-1], widths[-1]
             continue
         cell, state = move
-        path.append(cell)
-        if len(path) < total:
-            stack.append(iter(children(len(path), state)))
+        if cell is None:
+            drawn.append(FILLER)
+        else:
+            drawn.append(cell[2])
+            cells.append(cell)
+            widths.append(max(widths[-1], cell[1] + 1))
+        if len(drawn) < total:
+            stack.append(iter(children(len(drawn), state)))
             continue
         if state[1] and state[2]:
-            cells = tuple(filter(None, path))
-            width = max(c for _, c, _ in cells) + 1
-            drawn = "".join([FILLER if p is None else p[2] for p in path])
+            text, width = "".join(drawn), widths[-1]
             rows = range(0, (cells[-1][0] + 1) * cols, cols)
-            yield Word._trusted(cells, "\n".join([drawn[i : i + width] for i in rows]))
-        path.pop()
+            yield Word._trusted(
+                tuple(cells), "\n".join([text[i : i + width] for i in rows])
+            )
+        if drawn.pop() != FILLER:
+            del cells[-1], widths[-1]
 
 
 def enumerate_language(f: TileSystem, bounds: Bounds) -> frozenset[Word]:
@@ -537,6 +547,8 @@ def diff_against_language(
     enumeration that stops once it has enough. Left witnesses are
     reported in sorted word order, right witnesses in search order.
     """
+    if max_witnesses < 0:
+        raise ValueError(f"max_witnesses must be non-negative, got {max_witnesses!r}")
     expected = frozenset(normalize(w) for w in words)
     only_left = sorted(
         (

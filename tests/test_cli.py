@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,11 +12,11 @@ from pathlib import Path
 import pytest
 
 import gridlang
-from conftest import W
-from gridlang.cli import run
+from conftest import W, random_word
+from gridlang.cli import _dump, _emit_words, _word_record, run
 from gridlang.equations import corpus_text, solve
-from gridlang.expr import parse_system
-from gridlang.grid import Bounds, Word, word_sort_key
+from gridlang.expr import eval_expr, parse_expr, parse_system
+from gridlang.grid import Bounds, Budget, BudgetExhausted, Word, translate, word_sort_key
 from gridlang.interact import builtin_protocol, format_scenario
 from gridlang.tiling import enumerate_language, parse_two_color, word_accepted
 
@@ -28,6 +29,13 @@ def go(*argv: str) -> tuple[int, str]:
     out = io.StringIO()
     code = run(list(argv), out)
     return code, out.getvalue()
+
+
+def dumped(words) -> str:
+    """A records listing built the long way, one dict per word."""
+    return "".join(
+        _dump(_word_record(w)) + "\n" for w in sorted(words, key=word_sort_key)
+    )
 
 
 def python(*argv: str) -> subprocess.CompletedProcess:
@@ -154,6 +162,35 @@ class TestEnum:
         assert code == 0
         assert ascii_ == "\n\n".join("\n".join(picture(c)) for c in expected) + "\n"
 
+    def test_records_lines_equal_dumped_records(self):
+        # Escaped letters, a letter outside the Basic Multilingual Plane
+        # (written as a surrogate pair) and negative positions.
+        rng = random.Random(4242)
+        letters = '"\\/#\u00e9\U0001d538a'
+        words = []
+        for _ in range(500):
+            w = random_word(rng, size=4, letters=letters)
+            words.append(translate(w, rng.randint(-3, 3), rng.randint(-3, 3)))
+        out = io.StringIO()
+        _emit_words(words, "records", out)
+        assert out.getvalue() == dumped(words)
+        assert "\\ud835\\udd38" in out.getvalue()
+
+    @pytest.mark.parametrize("budget", [300, 5000])
+    def test_partial_records_equal_dumped_partial_words(self, budget):
+        with pytest.raises(BudgetExhausted) as caught:
+            enumerate_language(
+                parse_two_color("F02ac.c"), Bounds(5, 5, 5, node_budget=budget)
+            )
+        partial = caught.value.partial
+        assert partial
+        code, text = go(
+            "enum", "--sats", "F02ac.c", "--max-cells", "5", "--node-budget",
+            str(budget), "--format", "records",
+        )
+        assert code == 1
+        assert text == dumped(partial) + "partial: node budget exhausted\n"
+
     def test_sats_file_path(self, tmp_path):
         path = tmp_path / "example.sats"
         path.write_text(corpus_text("twocolor-example.sats"))
@@ -164,6 +201,19 @@ class TestEnum:
     def test_missing_bounds_is_a_usage_error(self):
         code, _ = go("enum", "--sats", "F02ac.c")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flag, others",
+        [
+            ("--max-rows", ("--max-cols", "3")),
+            ("--max-cols", ("--max-rows", "3", "--max-cells", "4")),
+            ("--max-cells", ()),
+        ],
+    )
+    def test_non_positive_bound_names_its_flag(self, flag, others, capsys):
+        assert go("enum", "--sats", "F02ac.c", flag, "-1", *others) == (2, "")
+        err = capsys.readouterr().err
+        assert err == f"error: {flag} must be a positive integer, got -1\n"
 
     @pytest.mark.parametrize(
         "bounds", [("--max-rows", "3"), ("--max-cells", "0")], ids=["rows-alone", "zero-cells"]
@@ -421,6 +471,34 @@ class TestRender:
         ]
 
 
+class TestRecordsListings:
+    """eval and render write the same records lines as a dict per word."""
+
+    def test_eval(self):
+        bounds = Bounds(4, 4, 6)
+        sol = solve(parse_system(corpus_text("f02ac.t2d")), bounds)
+        budget = Budget(bounds.node_budget)
+        words = eval_expr(parse_expr("X11 + X1"), sol.values, bounds, budget)
+        assert len(words) > 1
+        code, text = go(
+            "eval", "--expr", "X11 + X1", "--system", "f02ac", "--max-rows", "4",
+            "--max-cols", "4", "--max-cells", "6", "--format", "records",
+        )
+        assert code == 0
+        assert text == dumped(words)
+
+    def test_render(self):
+        bounds = Bounds(5, 5, 8)
+        sol = solve(parse_system(corpus_text("f02ac.t2d")), bounds)
+        code, text = go(
+            "render", "--system", "f02ac", "--var", "X11", "--max-rows", "5",
+            "--max-cols", "5", "--max-cells", "8", "--format", "records",
+        )
+        assert code == 0
+        assert len(sol.values["X11"]) > 1
+        assert text == dumped(sol.values["X11"])
+
+
 class TestDiff:
     def test_exit_code_reflects_inequality(self):
         code, text = go(
@@ -449,6 +527,23 @@ class TestDiff:
         doc = json.loads(text)
         assert doc["equal"] is False
         assert doc["common"] == doc["left_total"] - doc["only_left_count"]
+
+    def test_negative_witnesses_is_a_usage_error(self, capsys):
+        assert go(
+            "diff", "--sats", "F02ac.c", "--system", "f02ac", "--var", "X11",
+            "--max-cells", "4", "--witnesses", "-1",
+        ) == (2, "")
+        assert capsys.readouterr().err.startswith("error: --witnesses")
+
+    def test_zero_witnesses_lists_none(self):
+        code, text = go(
+            "diff", "--sats", "F02ac.c", "--system", "f02ac", "--var", "X11",
+            "--max-cells", "4", "--witnesses", "0", "--format", "records",
+        )
+        assert code == 1
+        doc = json.loads(text)
+        assert doc["only_right_count"] > 0
+        assert doc["only_left"] == doc["only_right"] == []
 
 
 class TestValidate:

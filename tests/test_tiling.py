@@ -518,6 +518,10 @@ class TestDiff:
         assert diff.equal
         assert diff.common == len(lang)
 
+    def test_negative_witness_count_is_rejected(self):
+        with pytest.raises(ValueError):
+            diff_against_language(parse_two_color("F8c.c"), Bounds(2, 1, 2), [W("c")], -1)
+
     def test_witnesses_are_distinct_with_duplicate_letters(self):
         # Two tiles per letter: one word can have several tile assignments.
         f = parse_tile_system(
