@@ -27,9 +27,17 @@ import os
 import sys
 from typing import Optional, Sequence, TextIO
 
-from .grid import Bounds, Budget, BudgetExhausted, Word, render_ascii, word_sort_key
+from .grid import (
+    Bounds,
+    Budget,
+    BudgetExhausted,
+    Word,
+    corpus_text,
+    render_ascii,
+    word_sort_key,
+)
 from .expr import EquationSystem, ParseError, eval_expr, parse_expr, parse_system
-from .equations import corpus_text, solve
+from .equations import solve
 from .interact import (
     builtin_protocol,
     builtin_protocol_library,
@@ -204,8 +212,7 @@ def _cmd_eval(args: argparse.Namespace, out: TextIO) -> int:
         sys_, _ = _load_system(args)
         sol = solve(sys_, bounds)
         if not sol.saturated:
-            print(_PARTIAL_MARKER, file=out)
-            return 1
+            raise BudgetExhausted("node budget exhausted")
         env = sol.values
     try:
         words = eval_expr(expr, env, bounds, Budget(bounds.node_budget))
@@ -241,8 +248,7 @@ def _cmd_solve(args: argparse.Namespace, out: TextIO) -> int:
                 print(render_ascii(w), file=out)
                 print(file=out)
     if not sol.saturated:
-        print(_PARTIAL_MARKER, file=out)
-        return 1
+        raise BudgetExhausted("node budget exhausted")
     return 0
 
 
@@ -255,8 +261,7 @@ def _cmd_diff(args: argparse.Namespace, out: TextIO) -> int:
         raise _usage(f"--witnesses must be a non-negative integer, got {args.witnesses}")
     sol = solve(sys_, bounds)
     if not sol.saturated:
-        print(_PARTIAL_MARKER, file=out)
-        return 1
+        raise BudgetExhausted("node budget exhausted")
     diff = diff_against_language(
         f, bounds, sol.values[var], max_witnesses=args.witnesses
     )
@@ -338,10 +343,9 @@ def _cmd_render(args: argparse.Namespace, out: TextIO) -> int:
     bounds = _resolve_bounds(args)
     sol = solve(sys_, bounds)
     var = _pick_var(sys_, target, args.var)
-    _emit_words(sol.values[var], args.format, out)
     if not sol.saturated:
-        print(_PARTIAL_MARKER, file=out)
-        return 1
+        raise BudgetExhausted("node budget exhausted", partial=sol.values[var])
+    _emit_words(sol.values[var], args.format, out)
     return 0
 
 

@@ -40,6 +40,7 @@ from .grid import (
     FILTER_ANY,
     FILTER_EXTREME,
     FILTER_NONEXTREME,
+    MAX_NESTING,
     Bounds,
     Budget,
     Key,
@@ -52,11 +53,6 @@ from .grid import (
 Offset = tuple[int, int]
 
 COMPARISON_OPS = ("=", "<", ">", "#")
-
-# Deepest nesting the restriction, expression and scenario parsers accept.
-# It keeps parsing, and every walk of the parsed tree, far inside Python's
-# recursion limit.
-MAX_NESTING = 100
 
 
 @dataclass(frozen=True)

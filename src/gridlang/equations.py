@@ -27,9 +27,8 @@ roofs through extremeness-filtered corner restrictions
 from __future__ import annotations
 
 from dataclasses import dataclass
-from importlib import resources
 from .expr import EquationSystem, Rounds, eval_expr, parse_system
-from .grid import Bounds, Budget, BudgetExhausted, Word
+from .grid import Bounds, Budget, BudgetExhausted, Word, corpus_text
 
 
 @dataclass(frozen=True)
@@ -77,11 +76,6 @@ def fixed_point_holds(sys: EquationSystem, sol: Solution, bounds: Bounds) -> boo
 
 # ---------------------------------------------------------------------------
 # Builtin systems
-
-def corpus_text(name: str) -> str:
-    """Text of a packaged corpus file."""
-    return resources.files("gridlang").joinpath("corpus", name).read_text()
-
 
 def builtin_squares() -> EquationSystem:
     """Growing odd squares of a's around a single x center; target X."""

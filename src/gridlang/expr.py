@@ -40,8 +40,7 @@ N2RE = "n2RE"
 X2RE = "x2RE"
 
 _ATOM_CHARS = "abcdefghijklmnopqrstuvwxyz0123456789"
-_VAR_AT = re.compile(r"[A-Z][A-Za-z0-9_']*")
-_VAR_FULL = re.compile(r"^[A-Z][A-Za-z0-9_']*$")
+_VAR_NAME = re.compile(r"[A-Z][A-Za-z0-9_']*")
 
 
 @dataclass(frozen=True)
@@ -82,7 +81,7 @@ class Var:
     name: str
 
     def __post_init__(self) -> None:
-        if not _VAR_FULL.match(self.name):
+        if not _VAR_NAME.fullmatch(self.name):
             raise ValueError(f"bad variable name {self.name!r}")
 
 
@@ -151,7 +150,7 @@ def _parse_factor(cur: Cursor) -> Expr:
         cur.take(ch)
         node = Atom(ch)
     elif ch.isupper():
-        m = _VAR_AT.match(cur.text, cur.pos)
+        m = _VAR_NAME.match(cur.text, cur.pos)
         assert m is not None
         cur.pos = m.end()
         node = Var(m.group(0))
@@ -256,7 +255,7 @@ class EquationSystem:
         names = [name for name, _ in self.equations]
         seen: set[str] = set()
         for name in names:
-            if not _VAR_FULL.match(name):
+            if not _VAR_NAME.fullmatch(name):
                 raise ValueError(f"bad variable name {name!r}")
             if name in seen:
                 raise ValueError(f"duplicate definition of {name}")
@@ -273,9 +272,6 @@ class EquationSystem:
         return tuple(name for name, _ in self.equations)
 
 
-_DEF_RE = re.compile(r"^([A-Z][A-Za-z0-9_']*)\s*=\s*(.+)$")
-
-
 def parse_system(text: str) -> EquationSystem:
     """One `Name = expression` per line or semicolon-separated statement."""
     equations: list[tuple[str, Expr]] = []
@@ -285,10 +281,11 @@ def parse_system(text: str) -> EquationSystem:
             piece = piece.strip()
             if not piece:
                 continue
-            m = _DEF_RE.match(piece)
-            if not m:
+            name, eq, rhs = piece.partition("=")
+            name, rhs = name.rstrip(), rhs.lstrip()
+            if not (eq and rhs and _VAR_NAME.fullmatch(name)):
                 raise ValueError(f"expected 'Name = expression', got {piece!r}")
-            equations.append((m.group(1), parse_expr(m.group(2))))
+            equations.append((name, parse_expr(rhs)))
     return EquationSystem(tuple(equations))
 
 

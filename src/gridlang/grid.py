@@ -30,12 +30,16 @@ An extreme cell has at most one occupied cell among the 8 positions
 around it. Selectors pick contour elements by kind with an optional
 extremeness filter applied to the elements' inside cells. A word keeps
 each selection it is asked for as a set of keys (axis, row, col).
+
+The module also holds what every layer shares: search budgets and
+bounds, the parsers' nesting limit, and the packaged corpus files.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from importlib import resources
 from typing import Optional
 
 Pos = tuple[int, int]
@@ -456,3 +460,14 @@ class Bounds:
             and c1 - c0 + 1 <= self.max_cols
             and len(w) <= self.max_cells
         )
+
+
+# Deepest nesting the restriction, expression and scenario parsers accept.
+# It keeps parsing, and every walk of the parsed tree, far inside Python's
+# recursion limit.
+MAX_NESTING = 100
+
+
+def corpus_text(name: str) -> str:
+    """Text of a packaged corpus file."""
+    return resources.files("gridlang").joinpath("corpus", name).read_text()

@@ -29,13 +29,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Collection, Iterable, Iterator, Mapping, Optional
 
-from .compose import MAX_NESTING
-from .equations import corpus_text
-from .grid import Budget
-
-Pos = tuple[int, int]
+from .grid import MAX_NESTING, Budget, Pos, corpus_text
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +416,10 @@ class DataScenario:
 
     The grid may be ragged. Wires run from a cell's east border to the
     west border of a cell on a strictly later row, so feedback stays
-    acyclic when cells are processed row by row. Border agreement is
-    not a construction invariant; validate_scenario reports on it.
+    acyclic when cells are processed row by row. Each west border has
+    at most one feeder: the east border of its west neighbour, or else
+    one wire. Border agreement is not a construction invariant;
+    validate_scenario reports on it.
     """
 
     cells: tuple[tuple[int, int, DataCell], ...]
@@ -439,21 +437,48 @@ class DataScenario:
                 raise ValueError(f"not a data cell: {cell!r}")
             seen.add((r, c))
         wiring = tuple(sorted(self.wiring))
-        dests: set[Pos] = set()
-        for src, dst in wiring:
-            if src not in seen or dst not in seen:
-                raise ValueError(f"wire {src} -> {dst} leaves the grid")
-            if dst[0] <= src[0]:
-                raise ValueError(f"wire {src} -> {dst} must reach a later row")
-            if dst in dests:
-                raise ValueError(f"two wires feed the west border of {dst}")
-            dests.add(dst)
+        _west_feeds(seen, wiring)
         object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "wiring", wiring)
 
     @property
     def cell_map(self) -> dict[Pos, DataCell]:
         return {(r, c): cell for r, c, cell in self.cells}
+
+
+def _west_feeds(
+    cells: Collection[Pos], wiring: Iterable[tuple[Pos, Pos]]
+) -> dict[Pos, tuple[str, Pos]]:
+    """Map each fed west border to its feeder: ("border", west neighbour)
+    or ("wire", source), the source always earlier in row order.
+
+    Raises ValueError for a wire that leaves the grid, that does not
+    reach a later row, or that feeds a west border already fed.
+    """
+    feeds = {(r, c): ("border", (r, c - 1)) for r, c in cells if (r, c - 1) in cells}
+    for src, dst in wiring:
+        if src not in cells or dst not in cells:
+            raise ValueError(f"wire {src} -> {dst} leaves the grid")
+        if dst[0] <= src[0]:
+            raise ValueError(f"wire {src} -> {dst} must reach a later row")
+        if dst in feeds:
+            kind, other = feeds[dst]
+            raise ValueError(
+                f"wire {src} -> {dst}: the {kind} from {other} already feeds {dst}"
+            )
+        feeds[dst] = ("wire", src)
+    return feeds
+
+
+def _modules_at(
+    lib: Iterable[DataModule], layout: Mapping[Pos, str]
+) -> dict[Pos, DataModule]:
+    """The module of each cell; raises ValueError for a name not in `lib`."""
+    by_name = {m.name: m for m in lib}
+    for pos, name in layout.items():
+        if name not in by_name:
+            raise ValueError(f"unknown module {name!r} at {pos}")
+    return {pos: by_name[name] for pos, name in layout.items()}
 
 
 @dataclass(frozen=True)
@@ -479,68 +504,35 @@ class ValidationReport:
 
 def validate_scenario(s: DataScenario, lib: Iterable[DataModule]) -> ValidationReport:
     """Check every cell, every shared border, and every wire."""
-    by_name = {m.name: m for m in lib}
     cmap = s.cell_map
-    for pos, cell in cmap.items():
-        if cell.module not in by_name:
-            raise ValueError(f"unknown module {cell.module!r} at {pos}")
+    modules = _modules_at(lib, {pos: cell.module for pos, cell in cmap.items()})
     checks = tuple(
-        (pos, check_cell(by_name[c.module], c.west, c.north, c.east, c.south))
-        for pos, c in sorted(cmap.items())
+        (pos, check_cell(modules[pos], c.west, c.north, c.east, c.south))
+        for pos, c in cmap.items()
     )
 
     violations: list[Violation] = []
     for pos, ok in checks:
         if not ok:
-            cell = cmap[pos]
-            violations.append(
-                Violation(
-                    kind="rule",
-                    cells=(pos,),
-                    message=(
-                        f"no rule of {cell.module} relates"
-                        f" <{format_datum(cell.west)} | {format_datum(cell.north)}>"
-                        f" to <{format_datum(cell.east)} | {format_datum(cell.south)}>"
-                    ),
-                )
+            c = cmap[pos]
+            w, n, e, so = (format_datum(d) for d in (c.west, c.north, c.east, c.south))
+            message = f"no rule of {c.module} relates <{w} | {n}> to <{e} | {so}>"
+            violations.append(Violation("rule", (pos,), message))
+    for dst, (kind, src) in _west_feeds(cmap, s.wiring).items():
+        if cmap[src].east != cmap[dst].west:
+            e, w = format_datum(cmap[src].east), format_datum(cmap[dst].west)
+            message = (
+                f"east {e} disagrees with west {w}"
+                if kind == "border"
+                else f"wire carries {e} east but {w} west"
             )
-    for (r, c), cell in sorted(cmap.items()):
-        east = cmap.get((r, c + 1))
-        if east is not None and cell.east != east.west:
-            violations.append(
-                Violation(
-                    kind="border",
-                    cells=((r, c), (r, c + 1)),
-                    message=(
-                        f"east {format_datum(cell.east)} disagrees with"
-                        f" west {format_datum(east.west)}"
-                    ),
-                )
-            )
+            violations.append(Violation(kind, (src, dst), message))
+    for (r, c), cell in cmap.items():
         south = cmap.get((r + 1, c))
         if south is not None and cell.south != south.north:
-            violations.append(
-                Violation(
-                    kind="border",
-                    cells=((r, c), (r + 1, c)),
-                    message=(
-                        f"south {format_datum(cell.south)} disagrees with"
-                        f" north {format_datum(south.north)}"
-                    ),
-                )
-            )
-    for src, dst in s.wiring:
-        if cmap[src].east != cmap[dst].west:
-            violations.append(
-                Violation(
-                    kind="wire",
-                    cells=(src, dst),
-                    message=(
-                        f"wire carries {format_datum(cmap[src].east)} east but"
-                        f" {format_datum(cmap[dst].west)} west"
-                    ),
-                )
-            )
+            so, n = format_datum(cell.south), format_datum(south.north)
+            message = f"south {so} disagrees with north {n}"
+            violations.append(Violation("border", ((r, c), (r + 1, c)), message))
     violations.sort(key=lambda v: (v.cells, v.kind, v.message))
     return ValidationReport(cell_checks=checks, violations=tuple(violations))
 
@@ -577,23 +569,19 @@ def complete_scenario(
     order and branches over each module's possible outputs, charging
     one budget unit per candidate. Returns the first completion in the
     stable candidate order, or None when the search space is exhausted.
+    Raises ValueError, before searching, for a module name not in `lib`
+    or for wiring that DataScenario rejects.
     """
-    by_name = {m.name: m for m in lib}
-    for pos, name in layout.items():
-        if name not in by_name:
-            raise ValueError(f"unknown module {name!r} at {pos}")
-    order = sorted(layout)
+    modules = _modules_at(lib, layout)
     wires = tuple(wiring)
-    wire_into = {dst: src for src, dst in wires}
+    feeds = _west_feeds(layout, wires)
+    order = sorted(layout)
     budget = Budget(node_budget)
     borders: dict[Pos, tuple[Datum, Datum, Datum, Datum]] = {}
 
     def west_of(pos: Pos) -> Datum:
-        r, c = pos
-        if (r, c - 1) in borders:
-            return borders[(r, c - 1)][2]
-        if pos in wire_into:
-            return borders[wire_into[pos]][2]
+        if pos in feeds:
+            return borders[feeds[pos][1]][2]
         return west_inputs.get(pos, EMPTY)
 
     def north_of(pos: Pos) -> Datum:
@@ -611,7 +599,7 @@ def complete_scenario(
         pos = order[k]
         if len(pending) == k:
             west, north = west_of(pos), north_of(pos)
-            outputs = cell_outputs(by_name[layout[pos]], west, north)
+            outputs = cell_outputs(modules[pos], west, north)
             pending.append((west, north, iter(outputs)))
         west, north, candidates = pending[-1]
         choice = next(candidates, None)

@@ -38,20 +38,11 @@ from .grid import (
     BudgetExhausted,
     Pos,
     Word,
+    _good_letter,
     normalize,
     render_ascii,
     word_sort_key,
 )
-
-
-def _good_symbol(s: object) -> bool:
-    return (
-        isinstance(s, str)
-        and len(s) == 1
-        and s.isprintable()
-        and not s.isspace()
-        and s != "."
-    )
 
 
 @dataclass(frozen=True)
@@ -65,7 +56,7 @@ class Tile:
     south: str
 
     def __post_init__(self) -> None:
-        if not _good_symbol(self.letter):
+        if not _good_letter(self.letter):
             raise ValueError(f"bad tile letter {self.letter!r}")
         for side in (self.west, self.north, self.east, self.south):
             if not isinstance(side, str) or not side or any(

@@ -608,6 +608,27 @@ class TestValidate:
             assert capsys.readouterr().err.startswith("error: bad scenario"), bad[:40]
 
 
+    def test_wire_into_a_fed_west_border_is_a_usage_error(self, tmp_path, capsys):
+        # The border from (1,0) already feeds (1,1)'s west border.
+        lib = tmp_path / "lib.imod"
+        lib.write_text(
+            "module A: <_ | _> -> <x | _> where x in {a,b}\n"
+            "module B: <x | _> -> <_ | _>\n"
+            "module C: <_ | _> -> <b | _>\n"
+        )
+        path = tmp_path / "fed.imod"
+        path.write_text(
+            "cell (0,0) A: <_ | _> -> <a | _>\n"
+            "cell (0,1) B: <a | _> -> <_ | _>\n"
+            "cell (1,0) C: <_ | _> -> <b | _>\n"
+            "cell (1,1) B: <b | _> -> <_ | _>\n"
+            "wire (0,0).e -> (1,1).w\n"
+        )
+        code, text = go("validate", "--modules", str(lib), "--scenario", str(path))
+        assert (code, text) == (2, "")
+        assert "already feeds (1, 1)" in capsys.readouterr().err
+
+
 class TestProjectNfa:
     def test_vertical_chain_system(self):
         code, text = go("project-nfa", "--sats", "F8c.c")

@@ -99,6 +99,13 @@ class TestGrammar:
         assert parse_expr("Erect") == Var("Erect")
         assert parse_expr("U_2") == Var("U_2")
 
+    def test_names_end_at_their_last_character(self):
+        # A pattern anchored with '$' would let a trailing newline through.
+        with pytest.raises(ValueError, match="bad variable name"):
+            Var("X\n")
+        with pytest.raises(ValueError, match="bad variable name"):
+            EquationSystem((("X\n", Atom("a")),))
+
     def test_comments_and_whitespace(self):
         e = parse_expr("c -- roof seed\n  + c")
         assert e == Sum((Atom("c"), Atom("c")))
@@ -266,8 +273,9 @@ class TestSystems:
             parse_system("-- nothing here\n")
 
     def test_bad_statement(self):
-        with pytest.raises(ValueError):
-            parse_system("lowercase = a\n")
+        for bad in ("lowercase = a", "X =", "= a", "X Y = a", "X' a"):
+            with pytest.raises(ValueError, match="expected 'Name = expression'"):
+                parse_system(bad + "\n")
 
     def test_format_round_trip(self):
         text = "X1 = c + c (sw=ne) X1\nX2 = X1 (ne=nw) 2\n"

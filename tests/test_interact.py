@@ -272,6 +272,35 @@ class TestScenarioShape:
                 cells=cells, wiring=(((0, 0), (1, 0)), ((0, 1), (1, 0)))
             )
 
+    def test_a_wire_cannot_feed_a_fed_west_border(self):
+        # C's east border feeds (1,1) from its west neighbour, so the
+        # wire from (0,0) would be a second feeder.
+        lib = parse_module_library(
+            "module A: <_ | _> -> <x | _> where x in {a,b}\n"
+            "module B: <x | _> -> <_ | _>\n"
+            "module C: <_ | _> -> <b | _>\n"
+        )
+        layout = {(0, 0): "A", (0, 1): "B", (1, 0): "C", (1, 1): "B"}
+        wire = (((0, 0), (1, 1)),)
+        cells = tuple(
+            (r, c, DataCell(name, EMPTY, EMPTY, EMPTY, EMPTY))
+            for (r, c), name in layout.items()
+        )
+        fed = "the border from \\(1, 0\\) already feeds"
+        with pytest.raises(ValueError, match=fed):
+            DataScenario(cells=cells, wiring=wire)
+        with pytest.raises(ValueError, match=fed):
+            complete_scenario(lib, layout, wiring=wire)
+
+    def test_wiring_is_checked_before_the_search(self):
+        layout = {(0, 0): "0", (1, 0): "0"}
+        for wire, why in (
+            (((1, 0), (0, 0)), "later row"),
+            (((0, 0), (2, 0)), "leaves the grid"),
+        ):
+            with pytest.raises(ValueError, match=why):
+                complete_scenario(LIB, layout, wiring=(wire,), node_budget=1)
+
     def test_text_round_trips(self):
         assert parse_scenario(format_scenario(SCENARIO)) == SCENARIO
         assert parse_module_library(format_module_library(LIB)) == LIB
@@ -436,6 +465,63 @@ class TestExecution:
         redo = complete_scenario(LIB, layout)
         assert redo is not None
         assert len(redo.cells) == 1500
+
+
+class TestCompletionsValidate:
+    """Every completion found on small random grids passes validation."""
+
+    LIB = parse_module_library(
+        "module S: <_ | _> -> <x | x> where x in {a,b}\n"
+        "module S: <x | _> -> <x | _>\n"
+        "module S: <_ | y> -> <_ | y>\n"
+        "module K: <x | y> -> <y | x>\n"
+        "module K: <x | _> -> <x | x>\n"
+        "module K: <_ | y> -> <y | _>\n"
+        "module K: <_ | _> -> <_ | _>\n"
+        "module T: <a | y> -> <b | y>\n"
+        "module T: <b | y> -> <a | _>\n"
+        "module T: <x | _> -> <x | a>\n"
+        "module T: <_ | y> -> <a | y>\n"
+    )
+
+    @staticmethod
+    def random_grid(rng: random.Random):
+        """A ragged layout of up to 3x3 cells, free inputs, and wires into
+        west borders that no west neighbour feeds."""
+        layout = {}
+        while not layout:
+            layout = {
+                (r, c): rng.choice("SKT")
+                for r in range(3)
+                for c in range(3)
+                if rng.random() < 0.6
+            }
+        inputs = ({}, {})
+        for pos in layout:
+            for side in inputs:
+                if rng.random() < 0.3:
+                    side[pos] = rng.choice([EMPTY, Sym("a"), Sym("b")])
+        wires = []
+        for r, c in layout:
+            earlier = [p for p in layout if p[0] < r]
+            if (r, c - 1) not in layout and earlier and rng.random() < 0.6:
+                wires.append((rng.choice(earlier), (r, c)))
+        return layout, *inputs, wires
+
+    def test_seeded_grids(self):
+        rng = random.Random(1109)
+        completed = wired = 0
+        for _ in range(400):
+            layout, west, north, wires = self.random_grid(rng)
+            done = complete_scenario(self.LIB, layout, west, north, wires)
+            if done is None:
+                continue
+            assert validate_scenario(done, self.LIB).valid, format_scenario(done)
+            assert {pos: c.module for pos, c in done.cell_map.items()} == layout
+            assert done.wiring == tuple(sorted(wires))
+            completed += 1
+            wired += bool(wires)
+        assert completed >= 100 and wired >= 50, (completed, wired)
 
 
 def _protocol_layout(stream: str, corrupted: set[int], resends: list[str]):
