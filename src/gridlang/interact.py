@@ -14,10 +14,12 @@ must carry identical data end to end. Reports list each violation with
 the coordinates of the cells it touches.
 
 Scenario text writes every shared border twice and repeats each datum
-kept so far in every later set, so parsing shares equal data: within
-one parse_scenario call, each distinct border field and set item is
-parsed and evaluated once, and every copy of it in the text comes back
-as the same object.
+kept so far in every later set, so parsing shares equal data. Each
+scenario line is matched whole against the fixed shape of a cell or a
+wire, and only its four border fields go through the expression
+grammar. Within one parse_scenario call, each distinct field text and
+each distinct set item is parsed and evaluated once, and every copy of
+it in the text comes back as the same object.
 
 The communication protocol from the problem domain ships as a builtin
 library and scenario. Its SR and End modules are reconstructions (the
@@ -38,8 +40,14 @@ from .grid import MAX_NESTING, Budget, Pos, corpus_text
 # Border data
 
 
-class Datum:
-    """Base class for structured border data."""
+class DExpr:
+    """Base class for rule-side expressions over border data."""
+
+    __slots__ = ()
+
+
+class Datum(DExpr):
+    """Base class for structured border data: the constant expressions."""
 
     __slots__ = ()
 
@@ -132,17 +140,6 @@ _ANY_VARS = frozenset("xy")
 _VAR_NAMES = _NUM_VARS | _SET_VARS | _ANY_VARS
 
 
-class DExpr:
-    """Base class for rule-side expressions over border data."""
-
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class Lit(DExpr):
-    value: Datum
-
-
 @dataclass(frozen=True)
 class VarRef(DExpr):
     name: str
@@ -206,8 +203,8 @@ def dexpr_vars(e: DExpr) -> frozenset[str]:
 
 def eval_dexpr(e: DExpr, env: Env) -> Datum:
     """Instantiate a template; raises _EvalFail on unbound or ill-typed use."""
-    if isinstance(e, Lit):
-        return e.value
+    if isinstance(e, Datum):
+        return e
     if isinstance(e, VarRef):
         if e.name not in env:
             raise _EvalFail(f"unbound variable {e.name}")
@@ -256,8 +253,8 @@ def _var_admits(name: str, d: Datum) -> bool:
 
 def match_pattern(e: DExpr, d: Datum, env: Env) -> Optional[Env]:
     """Structurally match data against a pattern, extending the binding."""
-    if isinstance(e, Lit):
-        return env if e.value == d else None
+    if isinstance(e, Datum):
+        return env if e == d else None
     if isinstance(e, VarRef):
         if e.name in env:
             return env if env[e.name] == d else None
@@ -569,9 +566,11 @@ def complete_scenario(
     order and branches over each module's possible outputs, charging
     one budget unit per candidate. Returns the first completion in the
     stable candidate order, or None when the search space is exhausted.
-    Raises ValueError, before searching, for a module name not in `lib`
-    or for wiring that DataScenario rejects.
+    Raises ValueError, before searching, for a module name not in `lib`,
+    for wiring that DataScenario rejects, or for a budget below one.
     """
+    if not isinstance(node_budget, int) or node_budget < 1:
+        raise ValueError(f"node_budget must be a positive integer, got {node_budget!r}")
     modules = _modules_at(lib, layout)
     wires = tuple(wiring)
     feeds = _west_feeds(layout, wires)
@@ -624,6 +623,14 @@ _TOKEN = re.compile(r"->|!=|[A-Za-z][A-Za-z0-9_]*|\d+|[?_<>|(){},^+\-=:.]")
 # A character that is neither blank nor the start of a token.
 _BAD_CHAR = re.compile(r"[^\sA-Za-z\d_?<>|(){},^+\-=:.!]|!(?!=)")
 _KEYWORDS = frozenset({"module", "cell", "wire", "where", "in", "min", "reconstructed"})
+_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*|\d+")  # a module name
+_POS = r"\(\s*(\d+)\s*,\s*(\d+)\s*\)"
+# A border field runs to the first '|' or '>' after its '<' or '|'.
+_CELL = re.compile(
+    rf"cell\s*{_POS}\s*({_NAME.pattern})\s*:"
+    r"\s*<([^|]*)\|([^>]*)>\s*->\s*<([^|]*)\|([^>]*)>"
+)
+_WIRE = re.compile(rf"wire\s*{_POS}\s*\.\s*e\s*->\s*{_POS}\s*\.\s*w")
 # Keeps a line's brackets, as '(' and ')', and drops its other ASCII.
 _BRACKETS = str.maketrans(
     "{}", "()", "".join(c for c in map(chr, range(128)) if c not in "(){}")
@@ -634,7 +641,7 @@ _ITEM_ENDS = frozenset(",})")
 
 
 def _nesting(line: str) -> int:
-    """A bound on how deep the expressions of a line nest.
+    """A bound on how deep the expressions of a line or field nest.
 
     Brackets nest the parser and each '+' or '-' nests the expression it
     builds, so the bound is the depth of the brackets, counting one left
@@ -652,15 +659,15 @@ def _nesting(line: str) -> int:
 
 
 class _Tokens:
-    """The tokens of one line and a cursor into them.
+    """The tokens of one library line or scenario border field, and a cursor.
 
-    `shared` is parse_scenario's table of data parsed so far: it maps a
-    run of tokens (a border field or a set item) to the literal that
-    run grounds to. Module libraries have no table.
+    `shared` is parse_scenario's table of set items parsed so far: it
+    maps an item's run of tokens to the datum that run grounds to.
+    Module libraries have no table.
     """
 
     def __init__(
-        self, line: str, shared: Optional[dict[tuple[str, ...], Lit]] = None
+        self, line: str, shared: Optional[dict[tuple[str, ...], Datum]] = None
     ) -> None:
         if _BAD_CHAR.search(line):
             raise ValueError(f"bad character in {line!r}")
@@ -684,30 +691,14 @@ class _Tokens:
         return tok
 
 
-def _parse_shared(t: _Tokens, end: int, parse) -> DExpr:
-    """Parse the tokens up to `end` once per distinct run in a scenario.
-
-    A run that `parse` consumes exactly is grounded and remembered, so
-    an equal run later in the scenario returns the same literal without
-    parsing. A run it does not consume is left to the caller to reject.
-    """
-    if end == t.at:
-        # An empty run is a blank field but no set item: never remembered.
-        return parse(t)
-    key = tuple(t.items[t.at : end])
-    lit = t.shared.get(key)
-    if lit is not None:
-        t.at = end
-        return lit
-    e = parse(t)
-    if t.at != end:
-        return e
-    lit = t.shared[key] = Lit(_ground(e, t.line))
-    return lit
-
-
 def _parse_item(t: _Tokens) -> DExpr:
-    """A set item, which ends at a ',', '}' or ')' outside its brackets."""
+    """A set item, which ends at a ',', '}' or ')' outside its brackets.
+
+    In a scenario, an item that parses exactly is grounded and
+    remembered, so an equal run of tokens later returns the same datum
+    without parsing. A run the parse does not consume is left to the
+    caller to reject.
+    """
     if t.shared is None:
         return _parse_sum(t)
     items, depth = t.items, 0
@@ -722,17 +713,26 @@ def _parse_item(t: _Tokens) -> DExpr:
                 depth -= 1
     else:
         end = len(items)
-    return _parse_shared(t, end, _parse_sum)
+    key = tuple(items[t.at : end])
+    d = t.shared.get(key)
+    if d is not None:
+        t.at = end
+        return d
+    e = _parse_sum(t)
+    if t.at != end:
+        return e
+    d = t.shared[key] = _ground(e, t.line)
+    return d
 
 
 def _parse_atom(t: _Tokens) -> DExpr:
     tok = t.take()
     if tok == "_":
-        return Lit(EMPTY)
+        return EMPTY
     if tok == "?":
-        return Lit(Sym("?"))
+        return Sym("?")
     if tok.isdigit():
-        return Lit(Num(int(tok)))
+        return Num(int(tok))
     if tok == "min":
         t.take("(")
         inner = _parse_field(t)
@@ -761,7 +761,7 @@ def _parse_atom(t: _Tokens) -> DExpr:
             raise ValueError(f"keyword {tok!r} cannot name data")
         if tok in _VAR_NAMES:
             return VarRef(tok)
-        return Lit(Sym(tok))
+        return Sym(tok)
     raise ValueError(f"unexpected token {tok!r}")
 
 
@@ -785,8 +785,9 @@ def _parse_sum(t: _Tokens) -> DExpr:
 
 
 def _parse_field(t: _Tokens) -> DExpr:
-    if t.peek() in ("|", ">"):
-        return Lit(EMPTY)
+    """A border field; one that ends at once ('|', '>' or the end) is blank."""
+    if t.peek() in ("|", ">", None):
+        return EMPTY
     first = _parse_sum(t)
     if t.peek() == ",":
         t.take(",")
@@ -794,28 +795,17 @@ def _parse_field(t: _Tokens) -> DExpr:
     return first
 
 
-def _parse_border(t: _Tokens, delimiter: str) -> DExpr:
-    """A border field, which ends at `delimiter` ('|' or '>')."""
-    if t.shared is None:
-        return _parse_field(t)
-    try:
-        end = t.items.index(delimiter, t.at)
-    except ValueError:
-        end = len(t.items)
-    return _parse_shared(t, end, _parse_field)
-
-
 def _parse_borders(t: _Tokens) -> tuple[DExpr, DExpr, DExpr, DExpr]:
     t.take("<")
-    west = _parse_border(t, "|")
+    west = _parse_field(t)
     t.take("|")
-    north = _parse_border(t, ">")
+    north = _parse_field(t)
     t.take(">")
     t.take("->")
     t.take("<")
-    east = _parse_border(t, "|")
+    east = _parse_field(t)
     t.take("|")
-    south = _parse_border(t, ">")
+    south = _parse_field(t)
     t.take(">")
     return west, north, east, south
 
@@ -845,6 +835,8 @@ def parse_module_library(text: str) -> tuple[DataModule, ...]:
         t = _Tokens(line)
         t.take("module")
         name = t.take()
+        if not _NAME.fullmatch(name):
+            raise ValueError(f"bad module name {name!r}")
         if t.peek() == "reconstructed":
             t.take()
             marked.add(name)
@@ -870,8 +862,8 @@ def parse_module_library(text: str) -> tuple[DataModule, ...]:
 
 
 def format_dexpr(e: DExpr) -> str:
-    if isinstance(e, Lit):
-        return format_datum(e.value)
+    if isinstance(e, Datum):
+        return format_datum(e)
     if isinstance(e, VarRef):
         return e.name
     if isinstance(e, PairExpr):
@@ -921,63 +913,44 @@ def _ground(e: DExpr, line: str) -> Datum:
         raise ValueError(f"scenario borders must be concrete in {line!r}: {exc}")
 
 
-def _parse_pos(t: _Tokens) -> Pos:
-    t.take("(")
-    r = int(t.take())
-    t.take(",")
-    c = int(t.take())
-    t.take(")")
-    return (r, c)
-
-
 def parse_scenario(text: str) -> DataScenario:
     """Cell and wire lines; borders must be concrete data.
 
-    Equal border fields and equal set items are parsed once and shared
-    between the cells that carry them.
+    Each line is matched whole, and only its border fields go through
+    the expression grammar. Equal fields (as text, blanks trimmed) and
+    equal set items are parsed once and shared between the cells that
+    carry them.
     """
     cells: list[tuple[int, int, DataCell]] = []
     wires: list[tuple[Pos, Pos]] = []
-    shared: dict[tuple[str, ...], Lit] = {}
+    fields: dict[str, Datum] = {}
+    items: dict[tuple[str, ...], Datum] = {}
+
+    def datum(field: str) -> Datum:
+        field = field.strip()
+        d = fields.get(field)
+        if d is None:
+            t = _Tokens(field, items)
+            e = _parse_field(t)
+            if t.peek() is not None:
+                raise ValueError(f"trailing tokens in {field!r}")
+            d = fields[field] = _ground(e, field)
+        return d
+
     for raw in text.splitlines():
         line = raw.split("--", 1)[0].strip()
         if not line:
             continue
-        t = _Tokens(line, shared)
-        kind = t.take()
-        if kind == "cell":
-            r, c = _parse_pos(t)
-            name = t.take()
-            t.take(":")
-            west, north, east, south = _parse_borders(t)
-            if t.peek() is not None:
-                raise ValueError(f"trailing tokens in {line!r}")
-            cells.append(
-                (
-                    r,
-                    c,
-                    DataCell(
-                        name,
-                        _ground(west, line),
-                        _ground(north, line),
-                        _ground(east, line),
-                        _ground(south, line),
-                    ),
-                )
-            )
-        elif kind == "wire":
-            src = _parse_pos(t)
-            t.take(".")
-            t.take("e")
-            t.take("->")
-            dst = _parse_pos(t)
-            t.take(".")
-            t.take("w")
-            if t.peek() is not None:
-                raise ValueError(f"trailing tokens in {line!r}")
-            wires.append((src, dst))
-        else:
+        m = _CELL.fullmatch(line)
+        if m is not None:
+            r, c, name, *borders = m.groups()
+            cells.append((int(r), int(c), DataCell(name, *map(datum, borders))))
+            continue
+        m = _WIRE.fullmatch(line)
+        if m is None:
             raise ValueError(f"unrecognized scenario line: {line!r}")
+        r, c, r2, c2 = map(int, m.groups())
+        wires.append(((r, c), (r2, c2)))
     return DataScenario(cells=tuple(cells), wiring=tuple(wires))
 
 

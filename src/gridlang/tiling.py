@@ -59,7 +59,8 @@ class Tile:
         if not _good_letter(self.letter):
             raise ValueError(f"bad tile letter {self.letter!r}")
         for side in (self.west, self.north, self.east, self.south):
-            if not isinstance(side, str) or not side or any(
+            # '--' would start a comment in the text format.
+            if not isinstance(side, str) or not side or "--" in side or any(
                 ch.isspace() or ch in "{},=" for ch in side
             ):
                 raise ValueError(f"bad border label {side!r}")
@@ -371,7 +372,7 @@ def word_accepted(f: TileSystem, w: Word) -> bool:
 # ---------------------------------------------------------------------------
 # Bounded enumeration
 
-State = tuple[int, bool, bool, Frontier]  # (cells, row 0 used, column 0 used, frontier)
+State = tuple[int, bool, Frontier]  # (cells, column 0 used, frontier)
 Cell = tuple[int, int, str]
 
 
@@ -385,18 +386,20 @@ def _walk(
     the cell it fills (None for empty) and the state it leads to.
     Expanding a state charges one budget unit per choice tried. A
     normalized word occupies row 0 and column 0, so states that leave
-    either bare are cut as soon as they must be. Step results are shared
-    by states with equal frontiers at the same cell.
+    either bare are cut as soon as they must be. Row 0 is occupied once
+    any cell is, since a state that reaches row 1 with no cells is cut.
+    Step results are shared by states with equal frontiers at the same
+    cell.
     """
     rows, cols, max_cells = bounds.max_rows, bounds.max_cols, bounds.max_cells
     choices = (*sorted(f.letters), None)
     steps: dict[tuple[int, Frontier], list[tuple[Optional[Cell], Frontier]]] = {}
 
     def children(k: int, state: State) -> list[tuple[Optional[Cell], State]]:
-        cnt, row0, col0, frontier = state
-        r, c = divmod(k, cols)
-        if r == 1 and c == 0 and not row0:
+        cnt, col0, frontier = state
+        if k == cols and not cnt:
             return []  # row 0 stayed empty
+        r, c = divmod(k, cols)
         found = steps.get((k, frontier))
         if found is None:
             last_row, last_col = r == rows - 1, c == cols - 1
@@ -410,10 +413,10 @@ def _walk(
         for cell, reached in found:
             if cell is not None:
                 if cnt < max_cells:
-                    child = (cnt + 1, row0 or r == 0, col0 or c == 0, reached)
+                    child = (cnt + 1, col0 or c == 0, reached)
                     out.append((cell, child))
             elif r < rows - 1 or c > 0 or col0:  # else column 0 stays empty
-                out.append((None, (cnt, row0, col0, reached)))
+                out.append((None, (cnt, col0, reached)))
         return out
 
     return children
@@ -434,7 +437,7 @@ def _search(f: TileSystem, bounds: Bounds, budget: Budget) -> Iterator[Word]:
     cols = bounds.max_cols
     total = bounds.max_rows * cols
     children = _walk(f, bounds, budget)
-    stack = [iter(children(0, (0, False, False, _start(cols))))]
+    stack = [iter(children(0, (0, False, _start(cols))))]
     drawn: list[str] = []  # the character drawn at each decided step
     cells: list[Cell] = []  # the letter cells among those steps
     widths = [0]  # the width of the letter cells so far, after each one
@@ -455,7 +458,7 @@ def _search(f: TileSystem, bounds: Bounds, budget: Budget) -> Iterator[Word]:
         if len(drawn) < total:
             stack.append(iter(children(len(drawn), state)))
             continue
-        if state[1] and state[2]:
+        if state[1]:  # column 0, and so row 0, is occupied
             text, width = "".join(drawn), widths[-1]
             rows = range(0, (cells[-1][0] + 1) * cols, cols)
             yield Word._trusted(
@@ -482,17 +485,16 @@ def count_language(f: TileSystem, bounds: Bounds) -> int:
 
     Dynamic programming over the same box walk as the enumeration, so it
     agrees with enumerate_language on every input but never materializes
-    the words. States that agree on (cells used, row 0 occupied, column
-    0 occupied, frontier) merge; a frontier is a SET of profiles, so a
-    letter word counts once even when several tile assignments realize
-    it.
+    the words. States that agree on (cells used, column 0 occupied,
+    frontier) merge; a frontier is a SET of profiles, so a letter word
+    counts once even when several tile assignments realize it.
 
     Charges bounds.node_budget one unit per choice tried from each
     state; raises BudgetExhausted if the frontiers degenerate into too
     many states.
     """
     budget = Budget(bounds.node_budget)
-    states = {(0, False, False, _start(bounds.max_cols)): 1}
+    states = {(0, False, _start(bounds.max_cols)): 1}
     for k in range(bounds.max_rows * bounds.max_cols):
         children = _walk(f, bounds, budget)  # no later layer revisits cell k
         nxt: dict[State, int] = {}
@@ -500,7 +502,7 @@ def count_language(f: TileSystem, bounds: Bounds) -> int:
             for _, child in children(k, state):
                 nxt[child] = nxt.get(child, 0) + mult
         states = nxt
-    return sum(m for (_, row0, col0, _), m in states.items() if row0 and col0)
+    return sum(m for (_, col0, _), m in states.items() if col0)
 
 
 # ---------------------------------------------------------------------------

@@ -400,6 +400,50 @@ class TestParsing:
         assert len(kept) >= len(stream)
 
 
+    def test_blank_fields_parse(self):
+        s = parse_scenario("cell (0,0) A: < | > -> <a | >")
+        assert s.cells == ((0, 0, DataCell("A", EMPTY, EMPTY, Sym("a"), EMPTY)),)
+        lib = parse_module_library("module A: < | _> -> <a | >")
+        assert validate_scenario(s, lib).valid
+        assert parse_module_library(format_module_library(lib)) == lib
+
+    def test_spacing_does_not_change_a_field(self):
+        texts = ("(1,{(2,a),b})", " ( 1 , { ( 2 , a ) , b } ) ", "(1,{(2,a),\tb})")
+        s = parse_scenario(
+            "\n".join(f"cell (0,{c}) A: <{t} | _> -> <_ | _>" for c, t in enumerate(texts))
+        )
+        want = Pair(Num(1), ds(pr(2, "a"), Sym("b")))
+        assert [cell.west for _, _, cell in s.cells] == [want] * len(texts)
+
+    def test_module_names_are_identifiers_or_numbers(self):
+        for name in ("?", "0a", "_", "<"):
+            with pytest.raises(ValueError):
+                parse_scenario(f"cell (0,0) {name}: <_ | _> -> <_ | _>")
+            with pytest.raises(ValueError):
+                parse_module_library(f"module {name}: <_ | _> -> <_ | _>")
+        for name in ("A", "0", "12", "a_b2"):
+            s = parse_scenario(f"cell (0,0) {name}: <_ | _> -> <_ | _>")
+            assert s.cells[0][2].module == name
+            assert parse_module_library(f"module {name}: <_ | _> -> <_ | _>")[0].name == name
+
+    def test_nesting_is_bounded_per_field(self):
+        # 60 operators in each of two fields: 120 on the line, 61 per field.
+        west = "+".join(["{1}"] * 61)
+        north = "+".join(["{2}"] * 61)
+        cell = parse_scenario(f"cell (0,0) 0: <{west} | {north}> -> <_ | _>").cells[0][2]
+        assert (cell.west, cell.north) == (ds(Num(1)), ds(Num(2)))
+
+    def test_equal_items_in_different_fields_are_one_object(self):
+        cell = parse_scenario(
+            "cell (0,0) 0: <{(1,a),b} | ({(1,a)},{ ( 1 , a ) })> -> <{b} | _>"
+        ).cells[0][2]
+        west = {d: d for d in cell.west.items}
+        (first,) = cell.north.first.items
+        (second,) = cell.north.second.items
+        (b,) = cell.east.items
+        assert west[pr(1, "a")] is first is second
+        assert west[Sym("b")] is b
+
     def test_bracketed_right_operands_round_trip(self):
         for line in (
             "module Q: <U | V> -> <U-(V+U) | _>",
@@ -442,6 +486,17 @@ class TestExecution:
                 LIB, self.LAYOUT, self.WEST, self.NORTH, SCENARIO.wiring,
                 node_budget=3,
             )
+
+    def test_budget_below_one_is_rejected(self):
+        for budget in (0, -1):
+            with pytest.raises(ValueError, match="node_budget"):
+                complete_scenario(
+                    LIB, self.LAYOUT, self.WEST, self.NORTH, SCENARIO.wiring,
+                    node_budget=budget,
+                )
+        # Also where no cell has a candidate, so nothing would be charged.
+        with pytest.raises(ValueError, match="node_budget"):
+            complete_scenario(LIB, {(0, 0): "SK"}, node_budget=0)
 
     def test_search_backtracks_past_a_dead_end(self):
         # A's first output (east 1) leaves B with no rule, so the search

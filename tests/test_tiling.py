@@ -79,6 +79,17 @@ class TestTileBasics:
         with pytest.raises(ValueError):
             Tile("a", "0", "0", "{x}", "0")
 
+    def test_labels_cannot_start_a_comment(self):
+        # The text format reads '--' as the start of a comment.
+        for label in ("x--y", "--", "x--"):
+            with pytest.raises(ValueError, match="bad border label"):
+                Tile("a", label, "0", "0", "0")
+        f = TileSystem(
+            (Tile("a", "x-y", "0", "-", "0"),),
+            frozenset({"x-y"}), frozenset("0"), frozenset("-"), frozenset("0"),
+        )
+        assert parse_tile_system(format_tile_system(f)) == f
+
     def test_equality(self):
         assert Tile("a", "0", "0", "1", "1") == Tile("a", "0", "0", "1", "1")
         assert Tile("a", "0", "0", "1", "1") != Tile("a", "0", "0", "1", "0")
