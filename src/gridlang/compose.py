@@ -33,7 +33,6 @@ the primed golf kinds, with an optional extremeness prefix 'x' or
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 from .grid import (
@@ -47,6 +46,7 @@ from .grid import (
     Selector,
     Word,
     normalize,
+    record,
     select,  # unused here; perfbench/layers.py wraps `compose.select`
 )
 
@@ -55,12 +55,12 @@ Offset = tuple[int, int]
 COMPARISON_OPS = ("=", "<", ">", "#")
 
 
-@dataclass(frozen=True)
+@record
 class Always:
     """Restriction satisfied by every placement."""
 
 
-@dataclass(frozen=True)
+@record
 class Comparison:
     left: Selector
     op: str
@@ -71,12 +71,12 @@ class Comparison:
             raise ValueError(f"unknown comparison operator {self.op!r}")
 
 
-@dataclass(frozen=True)
+@record
 class Not:
     item: "Restriction"
 
 
-@dataclass(frozen=True)
+@record
 class And:
     items: tuple["Restriction", ...]
 
@@ -85,7 +85,7 @@ class And:
             raise ValueError("a conjunction needs at least two operands")
 
 
-@dataclass(frozen=True)
+@record
 class Or:
     items: tuple["Restriction", ...]
 

@@ -26,12 +26,11 @@ roofs through extremeness-filtered corner restrictions
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from .expr import EquationSystem, Rounds, eval_expr, parse_system
-from .grid import Bounds, Budget, BudgetExhausted, Word, corpus_text
+from .grid import Bounds, Budget, BudgetExhausted, Word, corpus_text, record
 
 
-@dataclass(frozen=True)
+@record
 class Solution:
     """Solved variable sets plus how the iteration ended."""
 

@@ -21,7 +21,6 @@ keeps every intermediate result inside the given bounds.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .compose import (
@@ -34,7 +33,7 @@ from .compose import (
     star,
     uses_extremeness,
 )
-from .grid import Bounds, Budget, Word, normalize
+from .grid import Bounds, Budget, Word, normalize, record
 
 N2RE = "n2RE"
 X2RE = "x2RE"
@@ -43,7 +42,7 @@ _ATOM_CHARS = "abcdefghijklmnopqrstuvwxyz0123456789"
 _VAR_NAME = re.compile(r"[A-Z][A-Za-z0-9_']*")
 
 
-@dataclass(frozen=True)
+@record
 class Atom:
     """A single-cell word constant."""
 
@@ -54,7 +53,7 @@ class Atom:
             raise ValueError(f"bad atom letter {self.letter!r}")
 
 
-@dataclass(frozen=True)
+@record
 class Sum:
     items: tuple["Expr", ...]
 
@@ -63,20 +62,20 @@ class Sum:
             raise ValueError("a sum needs at least two operands")
 
 
-@dataclass(frozen=True)
+@record
 class Compose:
     left: "Expr"
     restriction: Restriction
     right: "Expr"
 
 
-@dataclass(frozen=True)
+@record
 class Star:
     body: "Expr"
     restriction: Restriction
 
 
-@dataclass(frozen=True)
+@record
 class Var:
     name: str
 
@@ -243,7 +242,7 @@ def classify(e: Expr) -> str:
 # Equation systems
 
 
-@dataclass(frozen=True)
+@record
 class EquationSystem:
     """Ordered variable definitions; every referenced name is defined."""
 

@@ -31,19 +31,104 @@ around it. Selectors pick contour elements by kind with an optional
 extremeness filter applied to the elements' inside cells. A word keeps
 each selection it is asked for as a set of keys (axis, row, col).
 
-The module also holds what every layer shares: search budgets and
-bounds, the parsers' nesting limit, and the packaged corpus files.
+The module also holds what every layer shares: the `record` class
+decorator, search budgets and bounds, the parsers' nesting limit, and
+the packaged corpus files.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 from typing import Optional
 
 Pos = tuple[int, int]
 Key = tuple[str, int, int]  # (axis, row, col): an element's place, whatever its kind
+
+
+# ---------------------------------------------------------------------------
+# Records
+
+
+class FrozenRecordError(AttributeError):
+    """An attempt to assign to or delete an attribute of a record."""
+
+
+def _frozen_setattr(self, name: str, value: object) -> None:
+    raise FrozenRecordError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name: str) -> None:
+    raise FrozenRecordError(f"cannot delete field {name!r}")
+
+
+_RECORD_METHODS = ("__init__", "__eq__", "__hash__", "__repr__")
+
+
+def record(cls: type) -> type:
+    """Make `cls` an immutable value class over its annotated fields.
+
+    The fields are the class's own annotations, in order; a class-level
+    value is that field's default. Instances compare equal when they have
+    the same class and equal fields, hash their field tuple, and repr as
+    `Name(field=value, ...)`. `__init__` takes the fields positionally
+    or by keyword. If the class has a `__post_init__` when decorated,
+    `__init__` then calls `self.__post_init__()`, looked up at each call
+    so that a wrapper set on the class later is the one called; one that
+    normalizes a field writes it with `object.__setattr__`. Assigning or
+    deleting any attribute raises `FrozenRecordError`; `cached_property`
+    still works, as it writes the instance `__dict__`.
+
+    A method the class defines itself is kept. The others are compiled
+    together, in one `exec`, the first time one of them is called, so a
+    process pays only for the classes it uses.
+    """
+    names = tuple(cls.__annotations__)
+    defaults = tuple(cls.__dict__[n] for n in names if n in cls.__dict__)
+    if any(n not in cls.__dict__ for n in names[len(names) - len(defaults) :]):
+        raise TypeError(f"{cls.__name__}: a field without a default follows one with")
+    missing = [m for m in _RECORD_METHODS if m not in cls.__dict__]
+    post_init = hasattr(cls, "__post_init__")
+
+    def build() -> None:
+        fields = "".join(f"self.{n}," for n in names)
+        other = "".join(f"other.{n}," for n in names)
+        shown = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
+        lines = [f"def __init__(self, {', '.join(names)}):"]
+        lines += [f"    _set(self, {n!r}, {n})" for n in names]
+        if post_init:
+            lines.append("    self.__post_init__()")
+        if len(lines) == 1:
+            lines.append("    pass")
+        lines += [
+            "def __eq__(self, other):",
+            "    if other.__class__ is self.__class__:",
+            f"        return ({fields}) == ({other})",
+            "    return NotImplemented",
+            "def __hash__(self):",
+            f"    return hash(({fields}))",
+            "def __repr__(self):",
+            f"    return f'{{self.__class__.__qualname__}}({shown})'",
+        ]
+        made: dict = {}
+        exec("\n".join(lines), {"_set": object.__setattr__}, made)
+        made["__init__"].__defaults__ = defaults
+        for m in missing:
+            setattr(cls, m, made[m])
+
+    def stub(m: str):
+        def first_call(self, *args, **kwargs):
+            build()
+            return getattr(cls, m)(self, *args, **kwargs)
+
+        return first_call
+
+    for m in missing:
+        setattr(cls, m, stub(m))
+    cls.__setattr__ = _frozen_setattr
+    cls.__delattr__ = _frozen_delattr
+    return cls
+
 
 FILLER = "."
 
@@ -125,7 +210,7 @@ _AROUND8 = tuple(
 )
 
 
-@dataclass(frozen=True)
+@record
 class Element:
     """One contour element: a side edge or a corner lattice point."""
 
@@ -148,7 +233,7 @@ class Element:
         return (self.axis, self.row, self.col)
 
 
-@dataclass(frozen=True)
+@record
 class Selector:
     """An element kind plus an extremeness filter on its inside cells."""
 
@@ -179,7 +264,7 @@ def _good_letter(letter: object) -> bool:
     )
 
 
-@dataclass(frozen=True)
+@record
 class Word:
     """A finite labelled cell set; cells are kept sorted for stable identity."""
 
@@ -423,11 +508,11 @@ class BudgetExhausted(RuntimeError):
         self.partial = partial
 
 
-@dataclass
 class Budget:
     """Mutable countdown of search steps; shared across one whole run."""
 
-    remaining: int
+    def __init__(self, remaining: int) -> None:
+        self.remaining = remaining
 
     def charge(self, n: int = 1) -> None:
         self.remaining -= n
@@ -435,7 +520,7 @@ class Budget:
             raise BudgetExhausted("node budget exhausted")
 
 
-@dataclass(frozen=True)
+@record
 class Bounds:
     """Search limits shared by enumeration, composition, and solving."""
 

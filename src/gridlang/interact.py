@@ -30,10 +30,9 @@ such on the module objects.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Collection, Iterable, Iterator, Mapping, Optional
 
-from .grid import MAX_NESTING, Budget, Pos, corpus_text
+from .grid import MAX_NESTING, Budget, Pos, corpus_text, record
 
 
 # ---------------------------------------------------------------------------
@@ -52,28 +51,28 @@ class Datum(DExpr):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@record
 class Empty(Datum):
     """The blank border."""
 
 
-@dataclass(frozen=True)
+@record
 class Sym(Datum):
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class Num(Datum):
     value: int
 
 
-@dataclass(frozen=True)
+@record
 class Pair(Datum):
     first: Datum
     second: Datum
 
 
-@dataclass(frozen=True)
+@record
 class DataSet(Datum):
     items: frozenset[Datum]
 
@@ -81,7 +80,7 @@ class DataSet(Datum):
         object.__setattr__(self, "items", frozenset(self.items))
 
 
-@dataclass(frozen=True)
+@record
 class Stream(Datum):
     """Two or more data joined by the stream separator."""
 
@@ -140,28 +139,28 @@ _ANY_VARS = frozenset("xy")
 _VAR_NAMES = _NUM_VARS | _SET_VARS | _ANY_VARS
 
 
-@dataclass(frozen=True)
+@record
 class VarRef(DExpr):
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class PairExpr(DExpr):
     first: DExpr
     second: DExpr
 
 
-@dataclass(frozen=True)
+@record
 class SetDisplay(DExpr):
     items: tuple[DExpr, ...]
 
 
-@dataclass(frozen=True)
+@record
 class StreamExpr(DExpr):
     items: tuple[DExpr, ...]
 
 
-@dataclass(frozen=True)
+@record
 class BinOp(DExpr):
     """'+' joins sets or adds numbers; '-' is set difference."""
 
@@ -170,7 +169,7 @@ class BinOp(DExpr):
     right: DExpr
 
 
-@dataclass(frozen=True)
+@record
 class MinOf(DExpr):
     """Least index occurring in a set: bare numbers and pair heads."""
 
@@ -293,7 +292,7 @@ def match_pattern(e: DExpr, d: Datum, env: Env) -> Optional[Env]:
 # Rules and modules
 
 
-@dataclass(frozen=True)
+@record
 class Guard:
     """A side condition: 'in' may enumerate, '=' may bind, '!=' only tests."""
 
@@ -329,7 +328,7 @@ def _guard_envs(g: Guard, env: Env) -> Iterator[Env]:
         return
 
 
-@dataclass(frozen=True)
+@record
 class Rule:
     west: DExpr
     north: DExpr
@@ -370,7 +369,7 @@ class Rule:
                 continue
 
 
-@dataclass(frozen=True)
+@record
 class DataModule:
     """A named list of rules; reconstructed modules are flagged as such."""
 
@@ -398,7 +397,7 @@ def check_cell(m: DataModule, west: Datum, north: Datum, east: Datum, south: Dat
 # Scenarios
 
 
-@dataclass(frozen=True)
+@record
 class DataCell:
     module: str
     west: Datum
@@ -407,7 +406,7 @@ class DataCell:
     south: Datum
 
 
-@dataclass(frozen=True)
+@record
 class DataScenario:
     """Module-labelled cells with concrete borders, plus feedback wires.
 
@@ -478,14 +477,14 @@ def _modules_at(
     return {pos: by_name[name] for pos, name in layout.items()}
 
 
-@dataclass(frozen=True)
+@record
 class Violation:
     kind: str  # rule, border, or wire
     cells: tuple[Pos, ...]
     message: str
 
 
-@dataclass(frozen=True)
+@record
 class ValidationReport:
     cell_checks: tuple[tuple[Pos, bool], ...]
     violations: tuple[Violation, ...]

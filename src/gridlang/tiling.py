@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional, Union
 
@@ -40,12 +39,13 @@ from .grid import (
     Word,
     _good_letter,
     normalize,
+    record,
     render_ascii,
     word_sort_key,
 )
 
 
-@dataclass(frozen=True)
+@record
 class Tile:
     """A letter with west, north, east, south border labels."""
 
@@ -69,7 +69,7 @@ class Tile:
         return (self.letter, self.west, self.north, self.east, self.south)
 
 
-@dataclass(frozen=True)
+@record
 class TileSystem:
     """A self-assembling tile system: tiles plus external label sets."""
 
@@ -132,7 +132,7 @@ class TileSystem:
         return out
 
 
-@dataclass(frozen=True)
+@record
 class Scenario:
     """A tile-valued word; validity and acceptance are separate checks."""
 
@@ -468,16 +468,30 @@ def _search(f: TileSystem, bounds: Bounds, budget: Budget) -> Iterator[Word]:
             del cells[-1], widths[-1]
 
 
-def enumerate_language(f: TileSystem, bounds: Bounds) -> frozenset[Word]:
+class Language(frozenset):
+    """A set of words that also keeps them, in `found`, in the order the
+    tile search found them. That order is made of long sorted runs, so a
+    listing sorts it in under half the time it takes to sort the set's
+    hash order."""
+
+    __slots__ = ("found",)
+
+    def __new__(cls, found: list[Word]) -> "Language":
+        self = super().__new__(cls, found)
+        self.found = found
+        return self
+
+
+def enumerate_language(f: TileSystem, bounds: Bounds) -> Language:
     """All normalized words of accepting scenarios within the bounds."""
-    found: set[Word] = set()
+    found: list[Word] = []
     try:
-        found.update(_search(f, bounds, Budget(bounds.node_budget)))
+        found.extend(_search(f, bounds, Budget(bounds.node_budget)))
     except BudgetExhausted:
         raise BudgetExhausted(
             "enumeration node budget exhausted", partial=frozenset(found)
         )
-    return frozenset(found)
+    return Language(found)
 
 
 def count_language(f: TileSystem, bounds: Bounds) -> int:
@@ -509,7 +523,7 @@ def count_language(f: TileSystem, bounds: Bounds) -> int:
 # Language comparison
 
 
-@dataclass(frozen=True)
+@record
 class LanguageDiff:
     """Two-sided comparison with counts and bounded witness lists."""
 
@@ -594,7 +608,7 @@ def format_language_diff(
 # Projection to a finite automaton
 
 
-@dataclass(frozen=True)
+@record
 class Nfa:
     """Nondeterministic automaton over tile letters."""
 

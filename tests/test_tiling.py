@@ -6,6 +6,7 @@ import pytest
 
 from gridlang.grid import (
     Bounds,
+    Budget,
     BudgetExhausted,
     Word,
     normalize,
@@ -18,6 +19,7 @@ from gridlang.tiling import (
     Scenario,
     Tile,
     TileSystem,
+    _search,
     accepting,
     column_strings,
     count_language,
@@ -349,6 +351,16 @@ class TestEnumerate:
 
     def test_matches_brute_force_2x2(self):
         assert enumerate_language(F, Bounds(2, 2, 4)) == brute_language(F, 2, 2, 4)
+
+    def test_found_lists_each_word_once_in_search_order(self):
+        bounds = Bounds(4, 4, 5)
+        lang = enumerate_language(F, bounds)
+        assert isinstance(lang, frozenset)
+        assert len(lang.found) == len(lang) and frozenset(lang.found) == lang
+        assert lang.found == list(_search(F, bounds, Budget(bounds.node_budget)))
+        # The search order is mostly sorted already, which is what makes
+        # sorting it cheaper than sorting the set.
+        assert sorted(lang.found, key=word_sort_key) == sorted(lang, key=word_sort_key)
 
     def test_matches_brute_force_2x3(self):
         assert enumerate_language(F, Bounds(2, 3, 6)) == brute_language(F, 2, 3, 6)
