@@ -33,7 +33,7 @@ from .compose import (
     star,
     uses_extremeness,
 )
-from .grid import Bounds, Budget, Word, normalize, record
+from .grid import Bounds, Budget, Word, normalize, record, source_lines
 
 N2RE = "n2RE"
 X2RE = "x2RE"
@@ -274,8 +274,7 @@ class EquationSystem:
 def parse_system(text: str) -> EquationSystem:
     """One `Name = expression` per line or semicolon-separated statement."""
     equations: list[tuple[str, Expr]] = []
-    for raw in text.splitlines():
-        line = raw.split("--", 1)[0]
+    for line in source_lines(text):
         for piece in line.split(";"):
             piece = piece.strip()
             if not piece:

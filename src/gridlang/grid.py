@@ -32,15 +32,15 @@ extremeness filter applied to the elements' inside cells. A word keeps
 each selection it is asked for as a set of keys (axis, row, col).
 
 The module also holds what every layer shares: the `record` class
-decorator, search budgets and bounds, the parsers' nesting limit, and
-the packaged corpus files.
+decorator, search budgets and bounds, the parsers' line reader and
+nesting limit, and the packaged corpus files.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from importlib import resources
-from typing import Optional
+from typing import Iterator, Optional
 
 Pos = tuple[int, int]
 Key = tuple[str, int, int]  # (axis, row, col): an element's place, whatever its kind
@@ -547,10 +547,19 @@ class Bounds:
         )
 
 
-# Deepest nesting the restriction, expression and scenario parsers accept.
-# It keeps parsing, and every walk of the parsed tree, far inside Python's
-# recursion limit.
+# Deepest nesting the restriction, expression, library and scenario
+# parsers accept. It keeps parsing, and every walk of the parsed tree, far
+# inside Python's recursion limit.
 MAX_NESTING = 100
+
+
+def source_lines(text: str) -> Iterator[str]:
+    """The lines of a text format: each cut at its '--' comment and
+    trimmed of blanks, and those left empty skipped."""
+    for raw in text.splitlines():
+        line = raw.split("--", 1)[0].strip()
+        if line:
+            yield line
 
 
 def corpus_text(name: str) -> str:

@@ -13,13 +13,19 @@ shared border must carry identical data on both sides, and every wire
 must carry identical data end to end. Reports list each violation with
 the coordinates of the cells it touches.
 
-Scenario text writes every shared border twice and repeats each datum
-kept so far in every later set, so parsing shares equal data. Each
-scenario line is matched whole against the fixed shape of a cell or a
-wire, and only its four border fields go through the expression
-grammar. Within one parse_scenario call, each distinct field text and
-each distinct set item is parsed and evaluated once, and every copy of
-it in the text comes back as the same object.
+Library rules and scenario cells are written in one line shape,
+`<W | N> -> <E | S>`: a rule line reads `module NAME [reconstructed]:
+<W | N> -> <E | S> [where GUARDS]` and a cell line `cell (r,c) NAME:
+<W | N> -> <E | S>`. Each line is matched whole against its shape (a
+wire line has its own), and only the four border fields, through one
+field reader, and a rule's where clause go through the expression
+grammar; the nesting bound counts each of them on its own. Scenario
+text writes every shared border twice and repeats each datum kept so
+far in every later set, so parsing shares equal data: within one
+parse_scenario call, each distinct field text and each distinct set
+item is parsed and evaluated once, and every copy of it in the text
+comes back as the same object. format_dexpr prints data and templates
+alike, as text that parses back to them.
 
 The communication protocol from the problem domain ships as a builtin
 library and scenario. Its SR and End modules are reconstructions (the
@@ -32,7 +38,7 @@ from __future__ import annotations
 import re
 from typing import Collection, Iterable, Iterator, Mapping, Optional
 
-from .grid import MAX_NESTING, Budget, Pos, corpus_text, record
+from .grid import MAX_NESTING, Budget, Pos, corpus_text, record, source_lines
 
 
 # ---------------------------------------------------------------------------
@@ -109,25 +115,6 @@ def datum_key(d: Datum):
     if isinstance(d, DataSet):
         return (4, len(d.items), tuple(sorted(datum_key(i) for i in d.items)))
     return (5, tuple(datum_key(i) for i in d.items))
-
-
-def format_datum(d: Datum) -> str:
-    if isinstance(d, Empty):
-        return "_"
-    if isinstance(d, Num):
-        # The parsers read no negative literal, so write one as a difference.
-        return str(d.value) if d.value >= 0 else f"0-{-d.value}"
-    if isinstance(d, Sym):
-        return d.name
-    if isinstance(d, Pair):
-        return f"({format_datum(d.first)},{format_datum(d.second)})"
-    if isinstance(d, DataSet):
-        inner = ",".join(format_datum(i) for i in sorted(d.items, key=datum_key))
-        return "{" + inner + "}"
-    return "^".join(
-        f"({format_datum(i)})" if isinstance(i, Num) and i.value < 0 else format_datum(i)
-        for i in d.items
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +200,10 @@ def eval_dexpr(e: DExpr, env: Env) -> Datum:
     if isinstance(e, SetDisplay):
         return DataSet(frozenset(eval_dexpr(i, env) for i in e.items))
     if isinstance(e, StreamExpr):
-        return Stream(tuple(eval_dexpr(i, env) for i in e.items))
+        try:
+            return Stream(tuple(eval_dexpr(i, env) for i in e.items))
+        except ValueError as exc:  # a blank or a stream among the items
+            raise _EvalFail(str(exc))
     if isinstance(e, MinOf):
         s = eval_dexpr(e.arg, env)
         if not isinstance(s, DataSet):
@@ -511,12 +501,12 @@ def validate_scenario(s: DataScenario, lib: Iterable[DataModule]) -> ValidationR
     for pos, ok in checks:
         if not ok:
             c = cmap[pos]
-            w, n, e, so = (format_datum(d) for d in (c.west, c.north, c.east, c.south))
+            w, n, e, so = (format_dexpr(d) for d in (c.west, c.north, c.east, c.south))
             message = f"no rule of {c.module} relates <{w} | {n}> to <{e} | {so}>"
             violations.append(Violation("rule", (pos,), message))
     for dst, (kind, src) in _west_feeds(cmap, s.wiring).items():
         if cmap[src].east != cmap[dst].west:
-            e, w = format_datum(cmap[src].east), format_datum(cmap[dst].west)
+            e, w = format_dexpr(cmap[src].east), format_dexpr(cmap[dst].west)
             message = (
                 f"east {e} disagrees with west {w}"
                 if kind == "border"
@@ -526,7 +516,7 @@ def validate_scenario(s: DataScenario, lib: Iterable[DataModule]) -> ValidationR
     for (r, c), cell in cmap.items():
         south = cmap.get((r + 1, c))
         if south is not None and cell.south != south.north:
-            so, n = format_datum(cell.south), format_datum(south.north)
+            so, n = format_dexpr(cell.south), format_dexpr(south.north)
             message = f"south {so} disagrees with north {n}"
             violations.append(Violation("border", ((r, c), (r + 1, c)), message))
     violations.sort(key=lambda v: (v.cells, v.kind, v.message))
@@ -622,15 +612,19 @@ _TOKEN = re.compile(r"->|!=|[A-Za-z][A-Za-z0-9_]*|\d+|[?_<>|(){},^+\-=:.]")
 # A character that is neither blank nor the start of a token.
 _BAD_CHAR = re.compile(r"[^\sA-Za-z\d_?<>|(){},^+\-=:.!]|!(?!=)")
 _KEYWORDS = frozenset({"module", "cell", "wire", "where", "in", "min", "reconstructed"})
-_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*|\d+")  # a module name
+_NAME = r"[A-Za-z][A-Za-z0-9_]*|\d+"  # a module name
 _POS = r"\(\s*(\d+)\s*,\s*(\d+)\s*\)"
-# A border field runs to the first '|' or '>' after its '<' or '|'.
-_CELL = re.compile(
-    rf"cell\s*{_POS}\s*({_NAME.pattern})\s*:"
-    r"\s*<([^|]*)\|([^>]*)>\s*->\s*<([^|]*)\|([^>]*)>"
+# The four border fields of a cell or a rule. A field runs to the first
+# '|' or '>' after its '<' or '|'.
+_BORDERS = r"<([^|]*)\|([^>]*)>\s*->\s*<([^|]*)\|([^>]*)>"
+_CELL = re.compile(rf"cell\s*{_POS}\s*({_NAME})\s*:\s*{_BORDERS}")
+# The where clause starts at a word boundary, so 'where(i,x) in V' has
+# one and 'wherever' is no keyword.
+_RULE = re.compile(
+    rf"module\s+({_NAME})(\s+reconstructed)?\s*:\s*{_BORDERS}(?:\s*where\b(.*))?"
 )
 _WIRE = re.compile(rf"wire\s*{_POS}\s*\.\s*e\s*->\s*{_POS}\s*\.\s*w")
-# Keeps a line's brackets, as '(' and ')', and drops its other ASCII.
+# Keeps a text's brackets, as '(' and ')', and drops its other ASCII.
 _BRACKETS = str.maketrans(
     "{}", "()", "".join(c for c in map(chr, range(128)) if c not in "(){}")
 )
@@ -640,12 +634,12 @@ _ITEM_ENDS = frozenset(",})")
 
 
 def _nesting(line: str) -> int:
-    """A bound on how deep the expressions of a line or field nest.
+    """A bound on how deep the expressions of a field or where clause nest.
 
     Brackets nest the parser and each '+' or '-' nests the expression it
     builds, so the bound is the depth of the brackets, counting one left
-    unclosed as open to the end of the line, plus the operators. Keeping
-    it small keeps parsing, evaluation and hashing of the line's data
+    unclosed as open to the end of the text, plus the operators. Keeping
+    it small keeps parsing, evaluation and hashing of the text's data
     within Python's recursion limit.
     """
     brackets = _NOT_BRACKET.sub("", line.translate(_BRACKETS))
@@ -658,7 +652,7 @@ def _nesting(line: str) -> int:
 
 
 class _Tokens:
-    """The tokens of one library line or scenario border field, and a cursor.
+    """The tokens of one border field or where clause, and a cursor.
 
     `shared` is parse_scenario's table of set items parsed so far: it
     maps an item's run of tokens to the datum that run grounds to.
@@ -794,19 +788,15 @@ def _parse_field(t: _Tokens) -> DExpr:
     return first
 
 
-def _parse_borders(t: _Tokens) -> tuple[DExpr, DExpr, DExpr, DExpr]:
-    t.take("<")
-    west = _parse_field(t)
-    t.take("|")
-    north = _parse_field(t)
-    t.take(">")
-    t.take("->")
-    t.take("<")
-    east = _parse_field(t)
-    t.take("|")
-    south = _parse_field(t)
-    t.take(">")
-    return west, north, east, south
+def _read_field(
+    field: str, shared: Optional[dict[tuple[str, ...], Datum]] = None
+) -> DExpr:
+    """One whole border field of a library rule or a scenario cell."""
+    t = _Tokens(field, shared)
+    e = _parse_field(t)
+    if t.peek() is not None:
+        raise ValueError(f"trailing tokens in {field!r}")
+    return e
 
 
 def _parse_guard(t: _Tokens) -> Guard:
@@ -820,60 +810,60 @@ def _parse_guard(t: _Tokens) -> Guard:
 
 
 def parse_module_library(text: str) -> tuple[DataModule, ...]:
-    """One rule per 'module NAME: <w | n> -> <e | s> where ...' line.
+    """One rule per 'module NAME: <W | N> -> <E | S> where ...' line.
 
     Lines sharing a name form one module, in first-appearance order.
     """
-    order: list[str] = []
     rules: dict[str, list[Rule]] = {}
     marked: set[str] = set()
-    for raw in text.splitlines():
-        line = raw.split("--", 1)[0].strip()
-        if not line:
-            continue
-        t = _Tokens(line)
-        t.take("module")
-        name = t.take()
-        if not _NAME.fullmatch(name):
-            raise ValueError(f"bad module name {name!r}")
-        if t.peek() == "reconstructed":
-            t.take()
+    for line in source_lines(text):
+        m = _RULE.fullmatch(line)
+        if m is None:
+            raise ValueError(f"unrecognized library line: {line!r}")
+        name, tag, *borders, where = m.groups()
+        if tag:
             marked.add(name)
-        t.take(":")
-        west, north, east, south = _parse_borders(t)
+        west, north, east, south = map(_read_field, borders)
         guards: list[Guard] = []
-        if t.peek() == "where":
-            t.take("where")
+        if where is not None:
+            t = _Tokens(where)
             guards.append(_parse_guard(t))
             while t.peek() == ",":
                 t.take(",")
                 guards.append(_parse_guard(t))
-        if t.peek() is not None:
-            raise ValueError(f"trailing tokens in {line!r}")
-        if name not in rules:
-            order.append(name)
-            rules[name] = []
-        rules[name].append(Rule(west, north, east, south, tuple(guards)))
+            if t.peek() is not None:
+                raise ValueError(f"trailing tokens in {line!r}")
+        rules.setdefault(name, []).append(Rule(west, north, east, south, tuple(guards)))
     return tuple(
-        DataModule(name, tuple(rules[name]), reconstructed=name in marked)
-        for name in order
+        DataModule(name, tuple(group), reconstructed=name in marked)
+        for name, group in rules.items()
     )
 
 
 def format_dexpr(e: DExpr) -> str:
-    if isinstance(e, Datum):
-        return format_datum(e)
-    if isinstance(e, VarRef):
+    """Text that parses back to `e`, as a rule's template or, for data,
+    as a scenario's border."""
+    if isinstance(e, Empty):
+        return "_"
+    if isinstance(e, Num):
+        # The parsers read no negative literal, so write one as a difference.
+        return str(e.value) if e.value >= 0 else f"0-{-e.value}"
+    if isinstance(e, (Sym, VarRef)):
         return e.name
-    if isinstance(e, PairExpr):
+    if isinstance(e, (Pair, PairExpr)):
         return f"({format_dexpr(e.first)},{format_dexpr(e.second)})"
+    if isinstance(e, DataSet):
+        inner = ",".join(format_dexpr(i) for i in sorted(e.items, key=datum_key))
+        return "{" + inner + "}"
     if isinstance(e, SetDisplay):
         return "{" + ",".join(format_dexpr(i) for i in e.items) + "}"
-    if isinstance(e, StreamExpr):
-        # A bracketed item is the only way the parser nests a sum or a
-        # stream inside a stream.
+    if isinstance(e, (Stream, StreamExpr)):
+        # A bracketed item is the only way the parser nests a sum, a
+        # stream or a negative number inside a stream.
         return "^".join(
-            f"({format_dexpr(i)})" if isinstance(i, (BinOp, StreamExpr)) else format_dexpr(i)
+            f"({format_dexpr(i)})"
+            if isinstance(i, (BinOp, StreamExpr)) or (isinstance(i, Num) and i.value < 0)
+            else format_dexpr(i)
             for i in e.items
         )
     if isinstance(e, MinOf):
@@ -929,17 +919,10 @@ def parse_scenario(text: str) -> DataScenario:
         field = field.strip()
         d = fields.get(field)
         if d is None:
-            t = _Tokens(field, items)
-            e = _parse_field(t)
-            if t.peek() is not None:
-                raise ValueError(f"trailing tokens in {field!r}")
-            d = fields[field] = _ground(e, field)
+            d = fields[field] = _ground(_read_field(field, items), field)
         return d
 
-    for raw in text.splitlines():
-        line = raw.split("--", 1)[0].strip()
-        if not line:
-            continue
+    for line in source_lines(text):
         m = _CELL.fullmatch(line)
         if m is not None:
             r, c, name, *borders = m.groups()
@@ -958,8 +941,8 @@ def format_scenario(s: DataScenario) -> str:
     for r, c, cell in s.cells:
         lines.append(
             f"cell ({r},{c}) {cell.module}:"
-            f" <{format_datum(cell.west)} | {format_datum(cell.north)}>"
-            f" -> <{format_datum(cell.east)} | {format_datum(cell.south)}>"
+            f" <{format_dexpr(cell.west)} | {format_dexpr(cell.north)}>"
+            f" -> <{format_dexpr(cell.east)} | {format_dexpr(cell.south)}>"
         )
     for (r, c), (r2, c2) in s.wiring:
         lines.append(f"wire ({r},{c}).e -> ({r2},{c2}).w")

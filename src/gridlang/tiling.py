@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 import re
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional
 
 from .grid import (
     FILLER,
@@ -41,6 +41,7 @@ from .grid import (
     normalize,
     record,
     render_ascii,
+    source_lines,
     word_sort_key,
 )
 
@@ -232,11 +233,7 @@ def _parse_label_set(body: str) -> frozenset[str]:
 
 def parse_tile_system(text: str) -> TileSystem:
     """Parse either tile/accept lines or a single "sats F..." line."""
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("--", 1)[0].strip()
-        if line:
-            lines.append(line)
+    lines = list(source_lines(text))
     if not lines:
         raise ValueError("empty tile system text")
     if len(lines) == 1 and lines[0].startswith("sats"):
@@ -313,9 +310,9 @@ def _step(
 # Validity and acceptance
 
 
-def scenario_valid(tiles: Union[TileSystem, Iterable[Tile]], s: Scenario) -> bool:
-    """Tiles all belong to the set and shared borders agree."""
-    tileset = set(tiles.tiles if isinstance(tiles, TileSystem) else tiles)
+def scenario_valid(f: TileSystem, s: Scenario) -> bool:
+    """Tiles all belong to the system and shared borders agree."""
+    tileset = set(f.tiles)
     tmap = s.tile_map
     for (r, c), t in tmap.items():
         if t not in tileset:

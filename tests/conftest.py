@@ -1,4 +1,5 @@
-"""Shared test helpers: ascii word building and seeded random generators."""
+"""Shared test helpers: ascii word building, seeded random generators,
+and source text decorated with comments."""
 
 import random
 
@@ -64,3 +65,12 @@ def random_edits(rng: random.Random, text: str, alphabet: str, edits: int = 3) -
             else:
                 del chars[i]
     return "".join(chars)
+
+
+def with_comments(text: str) -> str:
+    """`text` with comment lines, blank lines, indentation and end-of-line
+    comments added, none of which any text format reads."""
+    out = ["-- a leading comment", ""]
+    for line in text.splitlines():
+        out += [f" \t{line}  -- a note", "", "   -- a comment line"]
+    return "\n".join(out) + "\n"

@@ -608,6 +608,29 @@ class TestValidate:
             assert capsys.readouterr().err.startswith("error: bad scenario"), bad[:40]
 
 
+    def test_a_template_nesting_a_stream_does_not_apply(self, tmp_path):
+        # x binds a^b, so the template x^x would put a stream in a stream.
+        scenario = tmp_path / "scenario.imod"
+        scenario.write_text("cell (0,0) A: <a^b | _> -> <_ | _>\n")
+        both = tmp_path / "both.imod"
+        both.write_text("module A: <x | _> -> <_ | _>\nmodule A: <x | _> -> <x^x | _>\n")
+        nested = tmp_path / "nested.imod"
+        nested.write_text("module A: <x | _> -> <x^x | _>\n")
+        validate = ("-m", "gridlang.cli", "validate", "--scenario", str(scenario))
+        res = python(*validate, "--modules", str(both), "--execute")
+        assert (res.returncode, res.stdout) == (
+            0,
+            "valid scenario: 1 cells checked\nexecution: completion found\n",
+        )
+        assert "Traceback" not in res.stderr
+        res = python(*validate, "--modules", str(nested))
+        assert (res.returncode, res.stdout) == (
+            1,
+            "rule violation at (0,0): no rule of A relates <a^b | _> to <_ | _>\n"
+            "1 violations in 1 cells\n",
+        )
+        assert "Traceback" not in res.stderr
+
     def test_wire_into_a_fed_west_border_is_a_usage_error(self, tmp_path, capsys):
         # The border from (1,0) already feeds (1,1)'s west border.
         lib = tmp_path / "lib.imod"

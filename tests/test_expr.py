@@ -29,7 +29,7 @@ from gridlang.expr import (
     parse_system,
 )
 
-from conftest import W, random_restriction
+from conftest import W, random_restriction, with_comments
 
 
 def random_expr(rng: random.Random, depth: int):
@@ -282,6 +282,7 @@ class TestSystems:
         sys = parse_system(text)
         assert format_system(sys) == text
         assert parse_system(format_system(sys)) == sys
+        assert parse_system(with_comments(text)) == sys
 
 
 class TestEval:

@@ -19,6 +19,7 @@ from gridlang.grid import (
     normalize,
     render_ascii,
     select,
+    source_lines,
     translate,
     word_sort_key,
 )
@@ -421,6 +422,10 @@ class TestRenderAndText:
         words = [W("ba"), W("a"), W("ab")]
         words.sort(key=word_sort_key)
         assert words == [W("a"), W("ab"), W("ba")]
+
+    def test_source_lines_cut_comments_and_skip_blank_lines(self):
+        text = "-- head\r\n  a = b  -- note\n\n\t--\nc--d--e\n  f"
+        assert list(source_lines(text)) == ["a = b", "c", "f"]
 
 
 class TestBounds:

@@ -11,16 +11,19 @@ from gridlang.interact import (
     DataModule,
     DataScenario,
     DataSet,
+    Guard,
     Num,
     Pair,
+    PairExpr,
     Stream,
     Sym,
+    VarRef,
     builtin_protocol,
     cell_outputs,
     check_cell,
     complete_scenario,
     datum_key,
-    format_datum,
+    format_dexpr,
     format_module_library,
     format_report,
     format_scenario,
@@ -29,7 +32,7 @@ from gridlang.interact import (
     validate_scenario,
 )
 
-from conftest import random_edits
+from conftest import random_edits, with_comments
 
 
 def pr(i: int, x: str) -> Pair:
@@ -46,10 +49,11 @@ MODS = {m.name: m for m in LIB}
 
 class TestData:
     def test_formatting(self):
-        assert format_datum(EMPTY) == "_"
-        assert format_datum(pr(2, "b")) == "(2,b)"
-        assert format_datum(ds(pr(3, "c"), pr(1, "a"))) == "{(1,a),(3,c)}"
-        assert format_datum(Stream((Sym("a"), Sym("b"), Sym("c")))) == "a^b^c"
+        assert format_dexpr(EMPTY) == "_"
+        assert format_dexpr(pr(2, "b")) == "(2,b)"
+        assert format_dexpr(ds(pr(3, "c"), pr(1, "a"))) == "{(1,a),(3,c)}"
+        assert format_dexpr(Stream((Sym("a"), Sym("b"), Sym("c")))) == "a^b^c"
+        assert format_dexpr(ds(*map(Sym, "zyxwvutsrq"))) == "{q,r,s,t,u,v,w,x,y,z}"
 
     def test_set_iteration_order_is_total(self):
         items = [EMPTY, Num(2), Sym("b"), pr(1, "a"), ds(Num(1)), ds()]
@@ -120,6 +124,12 @@ class TestCheckCell:
         assert not check_cell(
             MODS["RK"], pr(2, "?"), n, EMPTY, Pair(ds(), ds(pr(1, "a"), pr(2, "?")))
         )
+
+    def test_a_template_nesting_a_stream_does_not_apply(self):
+        (m,) = parse_module_library("module A: <x | _> -> <x^x | _>")
+        a = Sym("a")
+        assert cell_outputs(m, a, EMPTY) == ((Stream((a, a)), EMPTY),)
+        assert cell_outputs(m, Stream((a, Sym("b"))), EMPTY) == ()
 
     def test_rule_choice_is_nondeterministic_but_bounded(self):
         outs = cell_outputs(
@@ -304,6 +314,8 @@ class TestScenarioShape:
     def test_text_round_trips(self):
         assert parse_scenario(format_scenario(SCENARIO)) == SCENARIO
         assert parse_module_library(format_module_library(LIB)) == LIB
+        assert parse_scenario(with_comments(format_scenario(SCENARIO))) == SCENARIO
+        assert parse_module_library(with_comments(format_module_library(LIB))) == LIB
 
 
 class TestParsing:
@@ -432,6 +444,33 @@ class TestParsing:
         north = "+".join(["{2}"] * 61)
         cell = parse_scenario(f"cell (0,0) 0: <{west} | {north}> -> <_ | _>").cells[0][2]
         assert (cell.west, cell.north) == (ds(Num(1)), ds(Num(2)))
+        # A library counts each field and the where clause on its own.
+        lib = parse_module_library(
+            f"module Q: <{west} | {north}> -> <_ | U> where U = {west}"
+        )
+        assert parse_module_library(format_module_library(lib)) == lib
+
+    def test_library_header_forms(self):
+        (m,) = parse_module_library("module A: <_ | (i,V)> -> <x | _> where(i,x) in V")
+        (i, x, v) = map(VarRef, "ixV")
+        assert m.rules[0].guards == (Guard("in", PairExpr(i, x), v),)
+        (m,) = parse_module_library("module reconstructed: <_ | _> -> <_ | _>")
+        assert (m.name, m.reconstructed) == ("reconstructed", False)
+        (m,) = parse_module_library("module SK reconstructed: <_ | _> -> <_ | _>")
+        assert (m.name, m.reconstructed) == ("SK", True)
+
+    def test_malformed_library_lines_are_rejected(self):
+        for bad in (
+            "module A <_ | _> -> <_ | _>",
+            "module A: <_ | _> <_ | _>",
+            "module A: <_ | _> -> <_ | _> x",
+            "module A: <x | _> -> <_ | _> where x in {1~}",
+            "module A: <x | _> -> <_ | _> wherex in {1}",
+            "module A: <x | _> -> <_ | _> where x in {1} x",
+            "moduleA: <_ | _> -> <_ | _>",
+        ):
+            with pytest.raises(ValueError):
+                parse_module_library(bad)
 
     def test_equal_items_in_different_fields_are_one_object(self):
         cell = parse_scenario(

@@ -34,7 +34,7 @@ from gridlang.tiling import (
     word_accepted,
 )
 
-from conftest import W
+from conftest import W, with_comments
 
 
 def scen(f: TileSystem, *rows: str, top: int = 0, left: int = 0) -> Scenario:
@@ -160,6 +160,8 @@ class TestTextFormat:
     def test_round_trip(self):
         text = format_tile_system(F)
         assert parse_tile_system(text) == F
+        assert parse_tile_system(with_comments(text)) == F
+        assert parse_tile_system(with_comments("sats F02ac.c")) == F
 
     def test_sats_line(self):
         assert parse_tile_system("sats F02ac.c\n") == F
