@@ -8,6 +8,12 @@ than a function. A data scenario is a grid of cells annotated with a
 module name and four concrete borders, plus feedback wires that carry
 an east border to the west border of a cell on a later row.
 
+Border data are plain Python values: the blank border `_` is None, a
+number an int, a symbol (`?` too) a str, a pair a 2-tuple and a set a
+frozenset. A stream `a^b` is the one data record, Stream, so that it
+stays apart from the pair `(a,b)`. Rule templates are DExpr records,
+and a datum inside a template stands for itself.
+
 Validation is local: every cell must be related by its module, every
 shared border must carry identical data on both sides, and every wire
 must carry identical data end to end. Reports list each violation with
@@ -36,7 +42,7 @@ such on the module objects.
 from __future__ import annotations
 
 import re
-from typing import Collection, Iterable, Iterator, Mapping, Optional
+from typing import Collection, Iterable, Iterator, Mapping, Optional, Union
 
 from .grid import MAX_NESTING, Budget, Pos, corpus_text, record, source_lines
 
@@ -45,49 +51,8 @@ from .grid import MAX_NESTING, Budget, Pos, corpus_text, record, source_lines
 # Border data
 
 
-class DExpr:
-    """Base class for rule-side expressions over border data."""
-
-    __slots__ = ()
-
-
-class Datum(DExpr):
-    """Base class for structured border data: the constant expressions."""
-
-    __slots__ = ()
-
-
 @record
-class Empty(Datum):
-    """The blank border."""
-
-
-@record
-class Sym(Datum):
-    name: str
-
-
-@record
-class Num(Datum):
-    value: int
-
-
-@record
-class Pair(Datum):
-    first: Datum
-    second: Datum
-
-
-@record
-class DataSet(Datum):
-    items: frozenset[Datum]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "items", frozenset(self.items))
-
-
-@record
-class Stream(Datum):
+class Stream:
     """Two or more data joined by the stream separator."""
 
     items: tuple[Datum, ...]
@@ -95,25 +60,25 @@ class Stream(Datum):
     def __post_init__(self) -> None:
         if len(self.items) < 2:
             raise ValueError("a stream joins at least two data")
-        if any(isinstance(i, (Stream, Empty)) for i in self.items):
+        if any(i is None or isinstance(i, Stream) for i in self.items):
             raise ValueError("stream items are non-empty and unnested")
 
 
-EMPTY = Empty()
+Datum = Union[None, int, str, tuple, frozenset, Stream]
 
 
 def datum_key(d: Datum):
     """Total order on data; used wherever set iteration must be stable."""
-    if isinstance(d, Empty):
+    if d is None:
         return (0,)
-    if isinstance(d, Num):
-        return (1, d.value)
-    if isinstance(d, Sym):
-        return (2, d.name)
-    if isinstance(d, Pair):
-        return (3, datum_key(d.first), datum_key(d.second))
-    if isinstance(d, DataSet):
-        return (4, len(d.items), tuple(sorted(datum_key(i) for i in d.items)))
+    if isinstance(d, int):
+        return (1, d)
+    if isinstance(d, str):
+        return (2, d)
+    if isinstance(d, tuple):
+        return (3, datum_key(d[0]), datum_key(d[1]))
+    if isinstance(d, frozenset):
+        return (4, len(d), tuple(sorted(datum_key(i) for i in d)))
     return (5, tuple(datum_key(i) for i in d.items))
 
 
@@ -124,6 +89,12 @@ _NUM_VARS = frozenset("ijn")
 _SET_VARS = frozenset("UVWYZ")
 _ANY_VARS = frozenset("xy")
 _VAR_NAMES = _NUM_VARS | _SET_VARS | _ANY_VARS
+
+
+class DExpr:
+    """Base class for rule-side templates; a template may also be a datum."""
+
+    __slots__ = ()
 
 
 @record
@@ -189,16 +160,16 @@ def dexpr_vars(e: DExpr) -> frozenset[str]:
 
 def eval_dexpr(e: DExpr, env: Env) -> Datum:
     """Instantiate a template; raises _EvalFail on unbound or ill-typed use."""
-    if isinstance(e, Datum):
+    if not isinstance(e, DExpr):
         return e
     if isinstance(e, VarRef):
         if e.name not in env:
             raise _EvalFail(f"unbound variable {e.name}")
         return env[e.name]
     if isinstance(e, PairExpr):
-        return Pair(eval_dexpr(e.first, env), eval_dexpr(e.second, env))
+        return (eval_dexpr(e.first, env), eval_dexpr(e.second, env))
     if isinstance(e, SetDisplay):
-        return DataSet(frozenset(eval_dexpr(i, env) for i in e.items))
+        return frozenset(eval_dexpr(i, env) for i in e.items)
     if isinstance(e, StreamExpr):
         try:
             return Stream(tuple(eval_dexpr(i, env) for i in e.items))
@@ -206,43 +177,43 @@ def eval_dexpr(e: DExpr, env: Env) -> Datum:
             raise _EvalFail(str(exc))
     if isinstance(e, MinOf):
         s = eval_dexpr(e.arg, env)
-        if not isinstance(s, DataSet):
+        if not isinstance(s, frozenset):
             raise _EvalFail("min needs a set")
         indices = []
-        for item in s.items:
-            if isinstance(item, Num):
-                indices.append(item.value)
-            elif isinstance(item, Pair) and isinstance(item.first, Num):
-                indices.append(item.first.value)
+        for item in s:
+            if isinstance(item, int):
+                indices.append(item)
+            elif isinstance(item, tuple) and isinstance(item[0], int):
+                indices.append(item[0])
         if not indices:
             raise _EvalFail("min of a set without indices")
-        return Num(min(indices))
+        return min(indices)
     left = eval_dexpr(e.left, env)
     right = eval_dexpr(e.right, env)
     if e.op == "+":
-        if isinstance(left, Num) and isinstance(right, Num):
-            return Num(left.value + right.value)
-        if isinstance(left, DataSet) and isinstance(right, DataSet):
-            return DataSet(left.items | right.items)
+        if isinstance(left, int) and isinstance(right, int):
+            return left + right
+        if isinstance(left, frozenset) and isinstance(right, frozenset):
+            return left | right
         raise _EvalFail("'+' joins two sets or adds two numbers")
-    if isinstance(left, DataSet) and isinstance(right, DataSet):
-        return DataSet(left.items - right.items)
-    if isinstance(left, Num) and isinstance(right, Num):
-        return Num(left.value - right.value)
+    if isinstance(left, frozenset) and isinstance(right, frozenset):
+        return left - right
+    if isinstance(left, int) and isinstance(right, int):
+        return left - right
     raise _EvalFail("'-' needs two sets or two numbers")
 
 
 def _var_admits(name: str, d: Datum) -> bool:
     if name in _NUM_VARS:
-        return isinstance(d, Num)
+        return isinstance(d, int)
     if name in _SET_VARS:
-        return isinstance(d, DataSet)
-    return not isinstance(d, Empty)
+        return isinstance(d, frozenset)
+    return d is not None
 
 
 def match_pattern(e: DExpr, d: Datum, env: Env) -> Optional[Env]:
     """Structurally match data against a pattern, extending the binding."""
-    if isinstance(e, Datum):
+    if not isinstance(e, DExpr):
         return env if e == d else None
     if isinstance(e, VarRef):
         if e.name in env:
@@ -253,12 +224,12 @@ def match_pattern(e: DExpr, d: Datum, env: Env) -> Optional[Env]:
         out[e.name] = d
         return out
     if isinstance(e, PairExpr):
-        if not isinstance(d, Pair):
+        if not isinstance(d, tuple):
             return None
-        first = match_pattern(e.first, d.first, env)
+        first = match_pattern(e.first, d[0], env)
         if first is None:
             return None
-        return match_pattern(e.second, d.second, first)
+        return match_pattern(e.second, d[1], first)
     if isinstance(e, SetDisplay):
         # Set patterns must be ground once reached; {} matches the empty set.
         try:
@@ -299,9 +270,9 @@ def _guard_envs(g: Guard, env: Env) -> Iterator[Env]:
     try:
         if g.op == "in":
             s = eval_dexpr(g.right, env)
-            if not isinstance(s, DataSet):
+            if not isinstance(s, frozenset):
                 return
-            for item in s.items:
+            for item in s:
                 got = match_pattern(g.left, item, env)
                 if got is not None:
                     yield got
@@ -375,6 +346,8 @@ class DataModule:
 def cell_outputs(m: DataModule, west: Datum, north: Datum) -> tuple[tuple[Datum, Datum], ...]:
     """Every (east, south) some rule relates to the inputs, stably ordered."""
     found = {out for rule in m.rules for out in rule.outputs(west, north)}
+    if len(found) < 2:
+        return tuple(found)
     return tuple(sorted(found, key=lambda p: (datum_key(p[0]), datum_key(p[1]))))
 
 
@@ -570,13 +543,13 @@ def complete_scenario(
     def west_of(pos: Pos) -> Datum:
         if pos in feeds:
             return borders[feeds[pos][1]][2]
-        return west_inputs.get(pos, EMPTY)
+        return west_inputs.get(pos)
 
     def north_of(pos: Pos) -> Datum:
         r, c = pos
         if (r - 1, c) in borders:
             return borders[(r - 1, c)][3]
-        return north_inputs.get(pos, EMPTY)
+        return north_inputs.get(pos)
 
     # Depth first with an explicit stack: one entry per cell from the
     # first to the one being decided, holding its inputs and the
@@ -631,6 +604,9 @@ _BRACKETS = str.maketrans(
 _NOT_BRACKET = re.compile(r"[^()]+")
 _OPENERS = frozenset("({")
 _ITEM_ENDS = frozenset(",})")
+# What parse_scenario's tables return for text not parsed yet; None is
+# the blank border.
+_UNSEEN = object()
 
 
 def _nesting(line: str) -> int:
@@ -707,8 +683,8 @@ def _parse_item(t: _Tokens) -> DExpr:
     else:
         end = len(items)
     key = tuple(items[t.at : end])
-    d = t.shared.get(key)
-    if d is not None:
+    d = t.shared.get(key, _UNSEEN)
+    if d is not _UNSEEN:
         t.at = end
         return d
     e = _parse_sum(t)
@@ -721,11 +697,11 @@ def _parse_item(t: _Tokens) -> DExpr:
 def _parse_atom(t: _Tokens) -> DExpr:
     tok = t.take()
     if tok == "_":
-        return EMPTY
+        return None
     if tok == "?":
-        return Sym("?")
+        return tok
     if tok.isdigit():
-        return Num(int(tok))
+        return int(tok)
     if tok == "min":
         t.take("(")
         inner = _parse_field(t)
@@ -754,7 +730,7 @@ def _parse_atom(t: _Tokens) -> DExpr:
             raise ValueError(f"keyword {tok!r} cannot name data")
         if tok in _VAR_NAMES:
             return VarRef(tok)
-        return Sym(tok)
+        return tok
     raise ValueError(f"unexpected token {tok!r}")
 
 
@@ -780,7 +756,7 @@ def _parse_sum(t: _Tokens) -> DExpr:
 def _parse_field(t: _Tokens) -> DExpr:
     """A border field; one that ends at once ('|', '>' or the end) is blank."""
     if t.peek() in ("|", ">", None):
-        return EMPTY
+        return None
     first = _parse_sum(t)
     if t.peek() == ",":
         t.take(",")
@@ -843,17 +819,21 @@ def parse_module_library(text: str) -> tuple[DataModule, ...]:
 def format_dexpr(e: DExpr) -> str:
     """Text that parses back to `e`, as a rule's template or, for data,
     as a scenario's border."""
-    if isinstance(e, Empty):
+    if e is None:
         return "_"
-    if isinstance(e, Num):
+    if isinstance(e, int):
         # The parsers read no negative literal, so write one as a difference.
-        return str(e.value) if e.value >= 0 else f"0-{-e.value}"
-    if isinstance(e, (Sym, VarRef)):
+        return str(e) if e >= 0 else f"0-{-e}"
+    if isinstance(e, str):
+        return e
+    if isinstance(e, VarRef):
         return e.name
-    if isinstance(e, (Pair, PairExpr)):
+    if isinstance(e, tuple):
+        return f"({format_dexpr(e[0])},{format_dexpr(e[1])})"
+    if isinstance(e, PairExpr):
         return f"({format_dexpr(e.first)},{format_dexpr(e.second)})"
-    if isinstance(e, DataSet):
-        inner = ",".join(format_dexpr(i) for i in sorted(e.items, key=datum_key))
+    if isinstance(e, frozenset):
+        inner = ",".join(format_dexpr(i) for i in sorted(e, key=datum_key))
         return "{" + inner + "}"
     if isinstance(e, SetDisplay):
         return "{" + ",".join(format_dexpr(i) for i in e.items) + "}"
@@ -862,7 +842,7 @@ def format_dexpr(e: DExpr) -> str:
         # stream or a negative number inside a stream.
         return "^".join(
             f"({format_dexpr(i)})"
-            if isinstance(i, (BinOp, StreamExpr)) or (isinstance(i, Num) and i.value < 0)
+            if isinstance(i, (BinOp, StreamExpr)) or (isinstance(i, int) and i < 0)
             else format_dexpr(i)
             for i in e.items
         )
@@ -917,8 +897,8 @@ def parse_scenario(text: str) -> DataScenario:
 
     def datum(field: str) -> Datum:
         field = field.strip()
-        d = fields.get(field)
-        if d is None:
+        d = fields.get(field, _UNSEEN)
+        if d is _UNSEEN:
             d = fields[field] = _ground(_read_field(field, items), field)
         return d
 

@@ -35,7 +35,7 @@ from test_interact import LIB, SCENARIO, TestLocality, _mutate
 from gridlang.cli import run
 from gridlang.equations import builtin_f02ac, builtin_squares, solve
 from gridlang.grid import Bounds, Word, hv_components, normalize, render_ascii
-from gridlang.interact import Sym, validate_scenario
+from gridlang.interact import validate_scenario
 from gridlang.tiling import (
     Scenario,
     Tile,
@@ -279,7 +279,7 @@ def test_criterion_5_protocol_and_mutations():
     clean = validate_scenario(SCENARIO, LIB)
     localized = 0
     for pos, side, expected in TestLocality.CASES:
-        report = validate_scenario(_mutate(SCENARIO, pos, side, Sym("zz")), LIB)
+        report = validate_scenario(_mutate(SCENARIO, pos, side, "zz"), LIB)
         if not report.valid and report.flagged == expected:
             localized += 1
     elapsed = time.monotonic() - t0

@@ -6,17 +6,13 @@ import pytest
 
 from gridlang.grid import BudgetExhausted
 from gridlang.interact import (
-    EMPTY,
     DataCell,
     DataModule,
     DataScenario,
-    DataSet,
+    DExpr,
     Guard,
-    Num,
-    Pair,
     PairExpr,
     Stream,
-    Sym,
     VarRef,
     builtin_protocol,
     cell_outputs,
@@ -35,12 +31,12 @@ from gridlang.interact import (
 from conftest import random_edits, with_comments
 
 
-def pr(i: int, x: str) -> Pair:
-    return Pair(Num(i), Sym(x))
+def pr(i: int, x: str) -> tuple:
+    return (i, x)
 
 
-def ds(*items) -> DataSet:
-    return DataSet(frozenset(items))
+def ds(*items) -> frozenset:
+    return frozenset(items)
 
 
 LIB, SCENARIO = builtin_protocol()
@@ -49,94 +45,153 @@ MODS = {m.name: m for m in LIB}
 
 class TestData:
     def test_formatting(self):
-        assert format_dexpr(EMPTY) == "_"
+        assert format_dexpr(None) == "_"
         assert format_dexpr(pr(2, "b")) == "(2,b)"
         assert format_dexpr(ds(pr(3, "c"), pr(1, "a"))) == "{(1,a),(3,c)}"
-        assert format_dexpr(Stream((Sym("a"), Sym("b"), Sym("c")))) == "a^b^c"
-        assert format_dexpr(ds(*map(Sym, "zyxwvutsrq"))) == "{q,r,s,t,u,v,w,x,y,z}"
+        assert format_dexpr(Stream(("a", "b", "c"))) == "a^b^c"
+        assert format_dexpr(ds(*"zyxwvutsrq")) == "{q,r,s,t,u,v,w,x,y,z}"
 
     def test_set_iteration_order_is_total(self):
-        items = [EMPTY, Num(2), Sym("b"), pr(1, "a"), ds(Num(1)), ds()]
+        # Blank, numbers, symbols, pairs, sets (smaller first), streams.
+        items = [None, -1, 2, "?", "b", pr(1, "a"), ds(), ds(1), Stream(("a", "b"))]
         keys = [datum_key(d) for d in items]
         assert len(set(keys)) == len(keys)
-        assert sorted(keys) == sorted(keys, key=lambda k: k)
+        assert sorted(reversed(items), key=datum_key) == items
+        assert format_dexpr(ds(*items)) == "{_,0-1,2,?,b,(1,a),{},{1},a^b}"
 
     def test_streams_join_at_least_two(self):
         with pytest.raises(ValueError):
-            Stream((Sym("a"),))
+            Stream(("a",))
         with pytest.raises(ValueError):
-            Stream((Sym("a"), EMPTY))
+            Stream(("a", None))
 
     def test_round_trip_through_text(self):
         lib = parse_module_library("module Q: <a^b | _> -> <{1,2} | (1,{})>")
         rule = lib[0].rules[0]
         assert check_cell(
             lib[0],
-            Stream((Sym("a"), Sym("b"))),
-            EMPTY,
-            ds(Num(1), Num(2)),
-            Pair(Num(1), ds()),
+            Stream(("a", "b")),
+            None,
+            ds(1, 2),
+            (1, ds()),
         )
         assert rule.guards == ()
+
+    @staticmethod
+    def random_datum(rng: random.Random, depth: int):
+        """A datum nested at most `depth` deep: blanks, numbers of either
+        sign, symbols (with '?'), pairs, sets and streams."""
+        kind = rng.choice("_nsps{^" if depth > 1 else "_nss")
+        if kind == "_":
+            return None
+        if kind == "n":
+            return rng.randint(-50, 50)
+        if kind == "s":
+            return rng.choice(["a", "b", "end", "OK", "?", "zz"])
+
+        def inner():
+            return TestData.random_datum(rng, depth - 1)
+
+        if kind == "p":
+            return inner(), inner()
+        if kind == "{":
+            return frozenset(inner() for _ in range(rng.randint(0, 4)))
+        items, size = [], rng.randint(2, 4)
+        while len(items) < size:
+            item = inner()
+            if item is not None and not isinstance(item, Stream):
+                items.append(item)
+        return Stream(tuple(items))
+
+    @staticmethod
+    def assert_same_types(got, want):
+        assert type(got) is type(want), (got, want)
+        if isinstance(want, tuple):
+            for g, w in zip(got, want):
+                TestData.assert_same_types(g, w)
+        elif isinstance(want, frozenset):
+            by_value = {g: g for g in got}
+            for w in want:
+                TestData.assert_same_types(by_value[w], w)
+        elif isinstance(want, Stream):
+            for g, w in zip(got.items, want.items):
+                TestData.assert_same_types(g, w)
+
+    def test_random_data_round_trip_through_scenario_text(self):
+        rng = random.Random(1501)
+        kinds = set()
+        for _ in range(1000):
+            d = self.random_datum(rng, 4)
+            kinds.add(type(d))
+            line = f"cell (0,0) 0: <{format_dexpr(d)} | _> -> <_ | _>"
+            got = parse_scenario(line).cells[0][2].west
+            assert got == d, line
+            self.assert_same_types(got, d)
+        assert kinds == {type(None), int, str, tuple, frozenset, Stream}
+
+    def test_parsed_data_are_plain_values(self):
+        cell = parse_scenario("cell (0,0) 0: <_ | (7,{a,?})> -> <a^b | {}>").cells[0][2]
+        assert cell.west is None
+        assert type(cell.north) is tuple and type(cell.north[0]) is int
+        assert type(cell.north[1]) is frozenset
+        assert {type(s) for s in cell.north[1]} == {str}
+        assert type(cell.east) is Stream and cell.east.items == ("a", "b")
+        assert cell.south == frozenset() and type(cell.south) is frozenset
+        parts = [cell.west, *cell.north, *cell.north[1], cell.east, *cell.east.items, cell.south]
+        assert not any(isinstance(p, DExpr) for p in parts)
 
 
 class TestCheckCell:
     def test_sender_stamps_and_keeps(self):
         assert check_cell(
             MODS["SK"],
-            Sym("a"),
-            Pair(Num(0), ds()),
+            "a",
+            (0, ds()),
             pr(1, "a"),
-            Pair(Num(1), ds(pr(1, "a"))),
+            (1, ds(pr(1, "a"))),
         )
 
     def test_sender_rejects_wrong_index(self):
         assert not check_cell(
             MODS["SK"],
-            Sym("a"),
-            Pair(Num(0), ds()),
+            "a",
+            (0, ds()),
             pr(2, "a"),
-            Pair(Num(2), ds(pr(2, "a"))),
+            (2, ds(pr(2, "a"))),
         )
 
     def test_end_request_with_nothing_missing_acknowledges(self):
         v = ds(pr(1, "a"), pr(3, "c"))
-        assert check_cell(
-            MODS["REnd"], Pair(Num(3), Sym("end")), Pair(ds(), v), Sym("OK"), v
-        )
+        assert check_cell(MODS["REnd"], (3, "end"), (ds(), v), "OK", v)
 
     def test_output_stream_emits_least_index_first(self):
         v = ds(pr(1, "a"), pr(3, "c"), pr(2, "b"))
-        assert check_cell(MODS["OS"], EMPTY, v, Sym("a"), ds(pr(3, "c"), pr(2, "b")))
+        assert check_cell(MODS["OS"], None, v, "a", ds(pr(3, "c"), pr(2, "b")))
         assert not check_cell(
-            MODS["OS"], EMPTY, v, Sym("b"), ds(pr(1, "a"), pr(3, "c"))
+            MODS["OS"], None, v, "b", ds(pr(1, "a"), pr(3, "c"))
         )
 
     def test_corruptor_replaces_payload(self):
-        assert check_cell(MODS["CN"], pr(2, "b"), EMPTY, pr(2, "?"), EMPTY)
-        assert not check_cell(MODS["CN"], pr(2, "b"), EMPTY, pr(2, "b"), EMPTY)
+        assert check_cell(MODS["CN"], pr(2, "b"), None, pr(2, "?"), None)
+        assert not check_cell(MODS["CN"], pr(2, "b"), None, pr(2, "b"), None)
 
     def test_keeper_separates_good_from_corrupted(self):
-        n = Pair(ds(), ds(pr(1, "a")))
-        assert check_cell(MODS["RK"], pr(2, "?"), n, EMPTY, Pair(ds(Num(2)), ds(pr(1, "a"))))
-        assert check_cell(MODS["RK"], pr(3, "c"), n, EMPTY, Pair(ds(), ds(pr(1, "a"), pr(3, "c"))))
+        n = (ds(), ds(pr(1, "a")))
+        assert check_cell(MODS["RK"], pr(2, "?"), n, None, (ds(2), ds(pr(1, "a"))))
+        assert check_cell(MODS["RK"], pr(3, "c"), n, None, (ds(), ds(pr(1, "a"), pr(3, "c"))))
         # A corrupted pair must not be stored as if it were good data.
         assert not check_cell(
-            MODS["RK"], pr(2, "?"), n, EMPTY, Pair(ds(), ds(pr(1, "a"), pr(2, "?")))
+            MODS["RK"], pr(2, "?"), n, None, (ds(), ds(pr(1, "a"), pr(2, "?")))
         )
 
     def test_a_template_nesting_a_stream_does_not_apply(self):
         (m,) = parse_module_library("module A: <x | _> -> <x^x | _>")
-        a = Sym("a")
-        assert cell_outputs(m, a, EMPTY) == ((Stream((a, a)), EMPTY),)
-        assert cell_outputs(m, Stream((a, Sym("b"))), EMPTY) == ()
+        assert cell_outputs(m, "a", None) == ((Stream(("a", "a")), None),)
+        assert cell_outputs(m, Stream(("a", "b")), None) == ()
 
     def test_rule_choice_is_nondeterministic_but_bounded(self):
-        outs = cell_outputs(
-            MODS["REnd"], Pair(Num(3), Sym("end")), Pair(ds(Num(1), Num(2)), ds())
-        )
-        easts = {e for e, _ in outs}
-        assert easts == {Num(1), Num(2)}
+        outs = cell_outputs(MODS["REnd"], (3, "end"), (ds(1, 2), ds()))
+        assert [e for e, _ in outs] == [1, 2]
 
 
 class TestRuleHygiene:
@@ -175,27 +230,27 @@ class TestProtocolScenario:
         s13 = ds(pr(1, "a"), pr(3, "c"))
         s123 = ds(pr(1, "a"), pr(2, "b"), pr(3, "c"))
         witnesses = {
-            ("SK", 0): (Sym("a"), Pair(Num(0), ds()), pr(1, "a"), Pair(Num(1), s1)),
-            ("CY", 0): (pr(1, "a"), EMPTY, pr(1, "a"), EMPTY),
-            ("CN", 0): (pr(2, "b"), EMPTY, pr(2, "?"), EMPTY),
-            ("RK", 0): (pr(1, "a"), Pair(ds(), ds()), EMPTY, Pair(ds(), s1)),
-            ("RK", 1): (pr(2, "?"), Pair(ds(), s1), EMPTY, Pair(ds(Num(2)), s1)),
-            ("SEnd", 0): (EMPTY, Pair(Num(3), s123), Pair(Num(3), Sym("end")), s123),
+            ("SK", 0): ("a", (0, ds()), pr(1, "a"), (1, s1)),
+            ("CY", 0): (pr(1, "a"), None, pr(1, "a"), None),
+            ("CN", 0): (pr(2, "b"), None, pr(2, "?"), None),
+            ("RK", 0): (pr(1, "a"), (ds(), ds()), None, (ds(), s1)),
+            ("RK", 1): (pr(2, "?"), (ds(), s1), None, (ds(2), s1)),
+            ("SEnd", 0): (None, (3, s123), (3, "end"), s123),
             ("REnd", 0): (
-                Pair(Num(3), Sym("end")),
-                Pair(ds(Num(2)), s13),
-                Num(2),
-                Pair(ds(), s13),
+                (3, "end"),
+                (ds(2), s13),
+                2,
+                (ds(), s13),
             ),
-            ("REnd", 1): (Pair(Num(3), Sym("end")), Pair(ds(), s13), Sym("OK"), s13),
-            ("RKR", 0): (pr(3, "c"), Pair(ds(Num(2)), s1), Num(2), Pair(ds(), s13)),
-            ("RKR", 1): (pr(2, "b"), Pair(ds(Num(2)), s13), Sym("OK"), s123),
-            ("RKR", 2): (pr(2, "?"), Pair(ds(), s13), Num(2), Pair(ds(), s13)),
-            ("RKR", 3): (pr(2, "b"), Pair(ds(), s13), Sym("OK"), s123),
-            ("OS", 0): (EMPTY, s123, Sym("a"), ds(pr(2, "b"), pr(3, "c"))),
-            ("SR", 0): (Num(2), s123, pr(2, "b"), s123),
-            ("End", 0): (Sym("OK"), s123, EMPTY, EMPTY),
-            ("0", 0): (EMPTY, EMPTY, EMPTY, EMPTY),
+            ("REnd", 1): ((3, "end"), (ds(), s13), "OK", s13),
+            ("RKR", 0): (pr(3, "c"), (ds(2), s1), 2, (ds(), s13)),
+            ("RKR", 1): (pr(2, "b"), (ds(2), s13), "OK", s123),
+            ("RKR", 2): (pr(2, "?"), (ds(), s13), 2, (ds(), s13)),
+            ("RKR", 3): (pr(2, "b"), (ds(), s13), "OK", s123),
+            ("OS", 0): (None, s123, "a", ds(pr(2, "b"), pr(3, "c"))),
+            ("SR", 0): (2, s123, pr(2, "b"), s123),
+            ("End", 0): ("OK", s123, None, None),
+            ("0", 0): (None, None, None, None),
         }
         for m in LIB:
             for idx in range(len(m.rules)):
@@ -208,7 +263,7 @@ class TestProtocolScenario:
 
     def test_unknown_module_name_errors(self):
         bad = DataScenario(
-            cells=((0, 0, DataCell("Nope", EMPTY, EMPTY, EMPTY, EMPTY)),)
+            cells=((0, 0, DataCell("Nope", None, None, None, None)),)
         )
         with pytest.raises(ValueError):
             validate_scenario(bad, LIB)
@@ -245,7 +300,7 @@ class TestLocality:
     ]
 
     def test_corruptions_flag_only_incident_cells(self):
-        junk = Sym("zz")
+        junk = "zz"
         assert len(self.CASES) == 10
         for pos, side, expected in self.CASES:
             rep = validate_scenario(_mutate(SCENARIO, pos, side, junk), LIB)
@@ -253,7 +308,7 @@ class TestLocality:
             assert rep.flagged == expected, (pos, side)
 
     def test_wire_mismatch_is_a_wire_violation(self):
-        rep = validate_scenario(_mutate(SCENARIO, (3, 2), "east", Num(9)), LIB)
+        rep = validate_scenario(_mutate(SCENARIO, (3, 2), "east", 9), LIB)
         kinds = {v.kind for v in rep.violations}
         assert "wire" in kinds
         wires = [v for v in rep.violations if v.kind == "wire"]
@@ -263,8 +318,8 @@ class TestLocality:
 class TestScenarioShape:
     def test_wires_must_point_to_later_rows(self):
         cells = (
-            (0, 0, DataCell("0", EMPTY, EMPTY, EMPTY, EMPTY)),
-            (1, 0, DataCell("0", EMPTY, EMPTY, EMPTY, EMPTY)),
+            (0, 0, DataCell("0", None, None, None, None)),
+            (1, 0, DataCell("0", None, None, None, None)),
         )
         with pytest.raises(ValueError):
             DataScenario(cells=cells, wiring=(((1, 0), (0, 0)),))
@@ -273,9 +328,9 @@ class TestScenarioShape:
 
     def test_one_wire_per_west_border(self):
         cells = (
-            (0, 0, DataCell("0", EMPTY, EMPTY, EMPTY, EMPTY)),
-            (0, 1, DataCell("0", EMPTY, EMPTY, EMPTY, EMPTY)),
-            (1, 0, DataCell("0", EMPTY, EMPTY, EMPTY, EMPTY)),
+            (0, 0, DataCell("0", None, None, None, None)),
+            (0, 1, DataCell("0", None, None, None, None)),
+            (1, 0, DataCell("0", None, None, None, None)),
         )
         with pytest.raises(ValueError):
             DataScenario(
@@ -293,7 +348,7 @@ class TestScenarioShape:
         layout = {(0, 0): "A", (0, 1): "B", (1, 0): "C", (1, 1): "B"}
         wire = (((0, 0), (1, 1)),)
         cells = tuple(
-            (r, c, DataCell(name, EMPTY, EMPTY, EMPTY, EMPTY))
+            (r, c, DataCell(name, None, None, None, None))
             for (r, c), name in layout.items()
         )
         fed = "the border from \\(1, 0\\) already feeds"
@@ -405,16 +460,16 @@ class TestParsing:
         kept = {}
         for cell in cmap.values():
             for border in (cell.west, cell.north, cell.east, cell.south):
-                parts = (border.first, border.second) if isinstance(border, Pair) else (border,)
+                parts = border if isinstance(border, tuple) else (border,)
                 for part in parts:
-                    for item in part.items if isinstance(part, DataSet) else ():
+                    for item in part if isinstance(part, frozenset) else ():
                         assert kept.setdefault(item, item) is item, item
         assert len(kept) >= len(stream)
 
 
     def test_blank_fields_parse(self):
         s = parse_scenario("cell (0,0) A: < | > -> <a | >")
-        assert s.cells == ((0, 0, DataCell("A", EMPTY, EMPTY, Sym("a"), EMPTY)),)
+        assert s.cells == ((0, 0, DataCell("A", None, None, "a", None)),)
         lib = parse_module_library("module A: < | _> -> <a | >")
         assert validate_scenario(s, lib).valid
         assert parse_module_library(format_module_library(lib)) == lib
@@ -424,7 +479,7 @@ class TestParsing:
         s = parse_scenario(
             "\n".join(f"cell (0,{c}) A: <{t} | _> -> <_ | _>" for c, t in enumerate(texts))
         )
-        want = Pair(Num(1), ds(pr(2, "a"), Sym("b")))
+        want = (1, ds(pr(2, "a"), "b"))
         assert [cell.west for _, _, cell in s.cells] == [want] * len(texts)
 
     def test_module_names_are_identifiers_or_numbers(self):
@@ -443,7 +498,7 @@ class TestParsing:
         west = "+".join(["{1}"] * 61)
         north = "+".join(["{2}"] * 61)
         cell = parse_scenario(f"cell (0,0) 0: <{west} | {north}> -> <_ | _>").cells[0][2]
-        assert (cell.west, cell.north) == (ds(Num(1)), ds(Num(2)))
+        assert (cell.west, cell.north) == (ds(1), ds(2))
         # A library counts each field and the where clause on its own.
         lib = parse_module_library(
             f"module Q: <{west} | {north}> -> <_ | U> where U = {west}"
@@ -476,12 +531,12 @@ class TestParsing:
         cell = parse_scenario(
             "cell (0,0) 0: <{(1,a),b} | ({(1,a)},{ ( 1 , a ) })> -> <{b} | _>"
         ).cells[0][2]
-        west = {d: d for d in cell.west.items}
-        (first,) = cell.north.first.items
-        (second,) = cell.north.second.items
-        (b,) = cell.east.items
+        west = {d: d for d in cell.west}
+        (first,) = cell.north[0]
+        (second,) = cell.north[1]
+        (b,) = cell.east
         assert west[pr(1, "a")] is first is second
-        assert west[Sym("b")] is b
+        assert west["b"] is b
 
     def test_bracketed_right_operands_round_trip(self):
         for line in (
@@ -493,17 +548,17 @@ class TestParsing:
 
     def test_negative_numbers_round_trip(self):
         s = parse_scenario("cell (0,0) 0: <3-5 | _> -> <_ | _>")
-        assert s.cells[0][2].west == Num(-2)
+        assert s.cells[0][2].west == -2
         assert parse_scenario(format_scenario(s)) == s
         s = parse_scenario("cell (0,0) 0: <a^(1-3) | (1-4,{2-3})> -> <_ | _>")
-        assert s.cells[0][2].west == Stream((Sym("a"), Num(-2)))
+        assert s.cells[0][2].west == Stream(("a", -2))
         assert parse_scenario(format_scenario(s)) == s
 
 
 class TestExecution:
     LAYOUT = {(r, c): cell.module for r, c, cell in SCENARIO.cells}
-    WEST = {(0, 0): Sym("a"), (1, 0): Sym("b"), (2, 0): Sym("c")}
-    NORTH = {(0, 0): Pair(Num(0), ds()), (0, 2): Pair(ds(), ds())}
+    WEST = {(0, 0): "a", (1, 0): "b", (2, 0): "c"}
+    NORTH = {(0, 0): (0, ds()), (0, 2): (ds(), ds())}
 
     def test_search_rebuilds_the_figure(self):
         redo = complete_scenario(
@@ -513,7 +568,7 @@ class TestExecution:
 
     def test_unsatisfiable_inputs_return_none(self):
         west = dict(self.WEST)
-        west[(0, 0)] = EMPTY  # the sender has nothing to stamp
+        west[(0, 0)] = None  # the sender has nothing to stamp
         assert (
             complete_scenario(LIB, self.LAYOUT, west, self.NORTH, SCENARIO.wiring)
             is None
@@ -547,8 +602,8 @@ class TestExecution:
         )
         layout = {(0, 0): "A", (0, 1): "B"}
         done = complete_scenario(lib, layout, node_budget=3)
-        assert done.cell_map[(0, 0)].east == Num(2)
-        assert done.cell_map[(0, 1)].west == Num(2)
+        assert done.cell_map[(0, 0)].east == 2
+        assert done.cell_map[(0, 1)].west == 2
         assert validate_scenario(done, lib).valid
         with pytest.raises(BudgetExhausted):
             complete_scenario(lib, layout, node_budget=2)
@@ -594,7 +649,7 @@ class TestCompletionsValidate:
         for pos in layout:
             for side in inputs:
                 if rng.random() < 0.3:
-                    side[pos] = rng.choice([EMPTY, Sym("a"), Sym("b")])
+                    side[pos] = rng.choice([None, "a", "b"])
         wires = []
         for r, c in layout:
             earlier = [p for p in layout if p[0] < r]
@@ -632,7 +687,7 @@ def _protocol_layout(stream: str, corrupted: set[int], resends: list[str]):
         layout[(r, 0)], layout[(r, 1)], layout[(r, 2)] = (
             "SK", "CN" if r + 1 in corrupted else "CY", "RK"
         )
-        west[(r, 0)] = Sym(x)
+        west[(r, 0)] = x
     r = len(stream)
     layout[(r, 0)], layout[(r, 1)], layout[(r, 2)] = "SEnd", "CY", "REnd"
     for channel in resends:
@@ -644,7 +699,7 @@ def _protocol_layout(stream: str, corrupted: set[int], resends: list[str]):
     layout[(r, 0)], layout[(r, 1)] = "End", "0"
     for k in range(len(stream)):
         layout[(r + k, 2)] = "OS"
-    north = {(0, 0): Pair(Num(0), ds()), (0, 2): Pair(ds(), ds())}
+    north = {(0, 0): (0, ds()), (0, 2): (ds(), ds())}
     return layout, west, north, wires
 
 
@@ -655,7 +710,7 @@ def _protocol_run(stream: str, corrupted: set[int], resends: list[str]):
         return None
     assert validate_scenario(redo, LIB).valid
     return "".join(
-        cell.east.name for _, _, cell in redo.cells if cell.module == "OS"
+        cell.east for _, _, cell in redo.cells if cell.module == "OS"
     )
 
 

@@ -17,23 +17,17 @@ from gridlang.equations import Solution
 from gridlang.expr import Atom, Compose, EquationSystem, Star, Sum, Var
 from gridlang.grid import Bounds, Element, FrozenRecordError, Selector, Word, record
 from gridlang.interact import (
-    EMPTY,
     BinOp,
     DataCell,
     DataModule,
     DataScenario,
-    DataSet,
-    Empty,
     Guard,
     MinOf,
-    Num,
-    Pair,
     PairExpr,
     Rule,
     SetDisplay,
     Stream,
     StreamExpr,
-    Sym,
     ValidationReport,
     VarRef,
     Violation,
@@ -43,8 +37,8 @@ from gridlang.tiling import LanguageDiff, Nfa, Scenario, Tile, TileSystem
 ROOT = Path(__file__).resolve().parent.parent
 
 TILE = Tile("a", "0", "0", "0", "0")
-RULE = Rule(VarRef("x"), EMPTY, VarRef("x"), EMPTY)
-CELL = DataCell("M", Num(1), EMPTY, Num(1), EMPTY)
+RULE = Rule(VarRef("x"), None, VarRef("x"), None)
+CELL = DataCell("M", 1, None, 1, None)
 ZERO = frozenset({"0"})
 
 # Constructor arguments of one instance of every record class. Some
@@ -71,22 +65,17 @@ SAMPLES = {
     Scenario: (((0, 0, TILE),),),
     LanguageDiff: (1, 1, 1, 0, (), 0, ()),
     Nfa: (("q",), frozenset({"q"}), frozenset({"q"}), (("q", "a", "q"),)),
-    Empty: (),
-    Sym: ("a",),
-    Num: (1,),
-    Pair: (Sym("a"), Num(1)),
-    DataSet: (frozenset({Num(1)}),),
-    Stream: ((Num(1), Num(2)),),
+    Stream: ((1, 2),),
     VarRef: ("a",),
-    PairExpr: (Sym("a"), Num(1)),
-    SetDisplay: ((Num(1), Num(2)),),
-    StreamExpr: ((Num(1), Num(2)),),
+    PairExpr: ("a", 1),
+    SetDisplay: ((1, 2),),
+    StreamExpr: ((1, 2),),
     BinOp: ("+", VarRef("U"), VarRef("V")),
     MinOf: (VarRef("U"),),
     Guard: ("in", VarRef("x"), VarRef("U")),
-    Rule: (VarRef("x"), EMPTY, VarRef("x"), EMPTY, ()),
+    Rule: (VarRef("x"), None, VarRef("x"), None, ()),
     DataModule: ("M", (RULE,), True),
-    DataCell: ("M", Num(1), EMPTY, Num(1), EMPTY),
+    DataCell: ("M", 1, None, 1, None),
     DataScenario: (((0, 0, CELL),), ()),
     Violation: ("rule", ((0, 0),), "no rule of M fits"),
     ValidationReport: ((((0, 0), True),), ()),
@@ -113,7 +102,7 @@ def test_every_record_class_has_a_sample():
         and value.__dict__.get("__setattr__") is grid._frozen_setattr
     }
     assert found == set(CLASSES)
-    assert len(CLASSES) == 40
+    assert len(CLASSES) == 35
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=IDS)
@@ -174,7 +163,7 @@ class TestDefaults:
         assert Bounds(1, 1, 1).node_budget == 100_000_000
 
     def test_rule_guards(self):
-        assert Rule(VarRef("x"), EMPTY, VarRef("x"), EMPTY).guards == ()
+        assert Rule(VarRef("x"), None, VarRef("x"), None).guards == ()
 
     def test_data_scenario_wiring(self):
         assert DataScenario(((0, 0, CELL),)).wiring == ()
@@ -186,21 +175,20 @@ class TestDefaults:
 class TestReprs:
     def test_spelt_out(self):
         assert repr(Selector("n")) == "Selector(kind='n', filter='any')"
-        assert repr(Pair(Sym("a"), Num(1))) == "Pair(first=Sym(name='a'), second=Num(value=1))"
+        assert repr(PairExpr(VarRef("i"), 1)) == "PairExpr(first=VarRef(name='i'), second=1)"
         assert repr(Always()) == "Always()"
-        assert repr(EMPTY) == "Empty()"
 
 
 class TestEquality:
     def test_equal_fields_of_different_classes(self):
-        assert Sym("a") != VarRef("a")
-        assert PairExpr(Sym("a"), Num(1)) != Pair(Sym("a"), Num(1))
-        assert SetDisplay((Num(1),)) != StreamExpr((Num(1),))
+        assert "a" != VarRef("a")
+        assert PairExpr("a", 1) != ("a", 1)
+        assert SetDisplay((1,)) != StreamExpr((1,))
+        assert Stream((1, 2)) != (1, 2)
         assert And((Always(), Always())) != Or((Always(), Always()))
-        assert Empty() != Always()
 
     def test_fieldless_records_are_equal(self):
-        assert Empty() == EMPTY and hash(Empty()) == hash(())
+        assert Always() == Always() and hash(Always()) == hash(())
 
 
 class TestPostInit:
@@ -210,11 +198,10 @@ class TestPostInit:
         with pytest.raises(ValueError):
             Bounds(0, 1, 1)
         with pytest.raises(ValueError):
-            Stream((Num(1),))
+            Stream((1,))
 
     def test_normalized_fields(self):
         assert Word(((0, 1, "b"), (0, 0, "a"))).cells == ((0, 0, "a"), (0, 1, "b"))
-        assert DataSet({Num(1)}).items == frozenset({Num(1)})
 
     def test_patched_post_init_is_called(self, monkeypatch):
         # A tracer wraps `Word.__post_init__` on the class after import.
