@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 import re
 from functools import cached_property
+from math import comb
 from typing import Callable, Iterable, Iterator, Optional
 
 from .grid import (
@@ -369,51 +370,48 @@ def word_accepted(f: TileSystem, w: Word) -> bool:
 # ---------------------------------------------------------------------------
 # Bounded enumeration
 
-State = tuple[int, bool, Frontier]  # (cells, column 0 used, frontier)
+State = tuple[bool, Frontier]  # (column 0 used, frontier)
 Cell = tuple[int, int, str]
 
 
 def _walk(
     f: TileSystem, bounds: Bounds, budget: Budget
-) -> Callable[[int, State], list[tuple[Optional[Cell], State]]]:
+) -> Callable[[int, State, bool], list[tuple[Optional[Cell], State]]]:
     """The box walk that enumeration and counting share.
 
-    Returns children(k, state): the choices at cell k (letters in
-    sorted order, then empty) that leave a non-empty frontier, each as
-    the cell it fills (None for empty) and the state it leads to.
-    Expanding a state charges one budget unit per choice tried. A
-    normalized word occupies row 0 and column 0, so states that leave
-    either bare are cut as soon as they must be. Row 0 is occupied once
-    any cell is, since a state that reaches row 1 with no cells is cut.
-    Step results are shared by states with equal frontiers at the same
-    cell.
+    Returns children(k, state, room): the choices at cell k (letters in
+    sorted order if there is room, then empty) that leave a non-empty
+    frontier, each as the cell it fills (None for empty) and the state
+    it leads to. A state, (column 0 used, frontier), holds no cell count:
+    the caller says if a letter fits under max_cells, and cuts a state
+    reaching row 1 with no cells. Each call charges len(choices) budget
+    units with room, else 1, and cuts a child that must leave column 0
+    bare. Steps are shared at each cell by equal frontiers and room.
     """
-    rows, cols, max_cells = bounds.max_rows, bounds.max_cols, bounds.max_cells
+    rows, cols = bounds.max_rows, bounds.max_cols
+    bottom, last = (rows - 1) * cols, rows * cols - 1  # the last row's two ends
+    done = _start(0)  # no frontier is read after the last cell
     choices = (*sorted(f.letters), None)
-    steps: dict[tuple[int, Frontier], list[tuple[Optional[Cell], Frontier]]] = {}
+    steps: dict[tuple[int, Frontier, bool], list[tuple[Optional[Cell], Frontier]]] = {}
 
-    def children(k: int, state: State) -> list[tuple[Optional[Cell], State]]:
-        cnt, col0, frontier = state
-        if k == cols and not cnt:
-            return []  # row 0 stayed empty
-        r, c = divmod(k, cols)
-        found = steps.get((k, frontier))
+    def children(k: int, state: State, room: bool) -> list[tuple[Optional[Cell], State]]:
+        col0, frontier = state
+        c = k % cols
+        found = steps.get((k, frontier, room))
         if found is None:
-            last_row, last_col = r == rows - 1, c == cols - 1
-            found = steps[(k, frontier)] = [
-                (None if choice is None else (r, c, choice), reached)
-                for choice in choices
-                if (reached := _step(f, frontier, c, choice, last_row, last_col))
+            r = k // cols
+            found = steps[(k, frontier, room)] = [
+                (None if choice is None else (r, c, choice), done if k == last else reached)
+                for choice in (choices if room else (None,))
+                if (reached := _step(f, frontier, c, choice, k >= bottom, c == cols - 1))
             ]
-        budget.charge(len(choices) if cnt < max_cells else 1)
+        budget.charge(len(choices) if room else 1)
         out = []
         for cell, reached in found:
             if cell is not None:
-                if cnt < max_cells:
-                    child = (cnt + 1, col0 or c == 0, reached)
-                    out.append((cell, child))
-            elif r < rows - 1 or c > 0 or col0:  # else column 0 stays empty
-                out.append((None, (cnt, col0, reached)))
+                out.append((cell, (col0 or c == 0, reached)))
+            elif c or col0 or k < bottom:  # else column 0 stays empty
+                out.append((None, (col0, reached)))
         return out
 
     return children
@@ -431,10 +429,10 @@ def _search(f: TileSystem, bounds: Bounds, budget: Budget) -> Iterator[Word]:
     makes a trusted word, primed with its rendering: the drawn rows cut
     to the word's width, down to its last row.
     """
-    cols = bounds.max_cols
+    cols, max_cells = bounds.max_cols, bounds.max_cells
     total = bounds.max_rows * cols
     children = _walk(f, bounds, budget)
-    stack = [iter(children(0, (0, False, _start(cols))))]
+    stack = [iter(children(0, (False, _start(cols)), True))]
     drawn: list[str] = []  # the character drawn at each decided step
     cells: list[Cell] = []  # the letter cells among those steps
     widths = [0]  # the width of the letter cells so far, after each one
@@ -452,10 +450,12 @@ def _search(f: TileSystem, bounds: Bounds, budget: Budget) -> Iterator[Word]:
             drawn.append(cell[2])
             cells.append(cell)
             widths.append(max(widths[-1], cell[1] + 1))
-        if len(drawn) < total:
-            stack.append(iter(children(len(drawn), state)))
-            continue
-        if state[1]:  # column 0, and so row 0, is occupied
+        k = len(drawn)
+        if k < total:
+            if k != cols or cells:  # else row 0 stayed empty
+                stack.append(iter(children(k, state, len(cells) < max_cells)))
+                continue
+        elif state[0]:  # column 0, and so row 0, is occupied
             text, width = "".join(drawn), widths[-1]
             rows = range(0, (cells[-1][0] + 1) * cols, cols)
             yield Word._trusted(
@@ -494,26 +494,36 @@ def enumerate_language(f: TileSystem, bounds: Bounds) -> Language:
 def count_language(f: TileSystem, bounds: Bounds) -> int:
     """Exact number of words in the system's language within the bounds.
 
-    Dynamic programming over the same box walk as the enumeration, so it
-    agrees with enumerate_language on every input but never materializes
-    the words. States that agree on (cells used, column 0 occupied,
-    frontier) merge; a frontier is a SET of profiles, so a letter word
-    counts once even when several tile assignments realize it.
-
-    Charges bounds.node_budget one unit per choice tried from each
-    state; raises BudgetExhausted if the frontiers degenerate into too
-    many states.
+    A dynamic program over the walk enumeration uses, so it agrees with
+    enumerate_language but never materializes the words. Paths reaching
+    one state (column 0 used, frontier) merge whatever their cell counts;
+    a frontier is a SET of profiles, so a letter word counts once even
+    when several tile assignments realize it. A state carries its path
+    counts by cell count, a polynomial packed into one integer at `width`
+    bits a count. The walk charges the budget per merged state, and this
+    caller applies the cell-count rules: a letter shifts the counts up
+    one, dropping the one past max_cells; an empty cell keeps them; row
+    1 clears the zero-cell count; room is a path under max_cells cells.
     """
+    rows, cols, max_cells = bounds.max_rows, bounds.max_cols, bounds.max_cells
+    # No count exceeds the ways to letter that many cells of the box.
+    ways = (comb(rows * cols, n) * len(f.letters) ** n for n in range(max_cells + 1))
+    width = max(ways).bit_length()
+    below_top = (1 << width * max_cells) - 1  # the counts below max_cells
     budget = Budget(bounds.node_budget)
-    states = {(0, False, _start(bounds.max_cols)): 1}
-    for k in range(bounds.max_rows * bounds.max_cols):
+    states = {(False, _start(cols)): 1}
+    for k in range(rows * cols):
+        if k == cols:  # row 0 stayed empty: clear the zero-cell counts
+            states = {s: v >> width << width for s, v in states.items() if v >> width}
         children = _walk(f, bounds, budget)  # no later layer revisits cell k
         nxt: dict[State, int] = {}
-        for state, mult in states.items():
-            for _, child in children(k, state):
-                nxt[child] = nxt.get(child, 0) + mult
+        for state, vec in states.items():
+            up = (vec & below_top) << width
+            for cell, child in children(k, state, up != 0):
+                nxt[child] = nxt.get(child, 0) + (vec if cell is None else up)
         states = nxt
-    return sum(m for (_, col0, _), m in states.items() if col0)
+    total = sum(vec for (col0, _), vec in states.items() if col0)
+    return sum(total >> n * width & (1 << width) - 1 for n in range(max_cells + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -499,10 +499,39 @@ class TestCountLanguage:
             assert count_language(f, bounds) == len(
                 enumerate_language(f, bounds)
             ), sats
+            # Each merged counting state stands for at least one search
+            # node charged at least as much, so a budget the enumeration
+            # finishes under suffices for counting too.
+            budget = Budget(bounds.node_budget)
+            words = list(_search(f, bounds, budget))
+            spent = bounds.node_budget - budget.remaining
+            tight = Bounds(rows, cols, cells, node_budget=spent)
+            assert count_language(f, tight) == len(words), sats
 
     def test_budget(self):
         with pytest.raises(BudgetExhausted):
             count_language(F, Bounds(4, 4, 8, node_budget=10))
+
+    def test_no_states_merge(self):
+        # F0 in one row: up to the last cell the frontier records every
+        # cell, so each counting state holds one cell count.
+        f, bounds = parse_two_color("F0"), Bounds(1, 14, 14)
+        assert count_language(f, bounds) == 8192 == len(enumerate_language(f, bounds))
+
+    @pytest.mark.parametrize(
+        "sats, box, count",
+        [
+            ("F02ac.c", (6, 6, 12), 33_611_898),
+            ("F02ac.c", (7, 7, 16), 21_116_863_978),
+            ("F02ac.c", (8, 8, 16), 3_874_078_967_842),
+            ("F0f", (4, 4, 8), 352_692),
+            ("F0f", (3, 8, 24), 310_605_588),
+            ("F02ac", (5, 5, 10), 319_109_437_484),
+            ("F3c5a", (4, 4, 9), 78_865_892),
+        ],
+    )
+    def test_paper_scale_counts(self, sats, box, count):
+        assert count_language(parse_two_color(sats), Bounds(*box)) == count
 
     def test_large_box_count_is_frozen(self):
         # Regression pin; the cross-check golden file carries the same figure.
