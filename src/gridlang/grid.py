@@ -303,8 +303,8 @@ class Word:
         Nothing is checked. Public `Word(...)` and the parsers validate.
 
         Callers: `translate` (an integral shift), the tile search in
-        `tiling` (cells and rendering stacked along its row-major path,
-        so in row-major order), and `compose.compose_words`
+        `tiling` (cells and drawn rows joined row by row, so in row-major
+        order), and `compose.compose_words`
         (the sorted union of two valid words its overlap test keeps apart).
         """
         w = object.__new__(cls)

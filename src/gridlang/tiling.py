@@ -12,10 +12,12 @@ Every bounded question about a language walks an R x C box cell by cell
 in row-major order, choosing a letter or leaving the cell empty, and
 tracks the frontier: the set of border profiles the choices so far can
 leave open. One transition, _step, matches borders and checks boundary
-labels. Enumeration and witness search drive it depth first, counting
-drives it as a dynamic program over frontiers, and acceptance drives it
-with every choice fixed by the word. Words come out in normalized
-position because row 0 and column 0 must be occupied.
+labels. Enumeration and witness search drive it depth first one row at
+a time, reading each row's fillings from a table built once per row,
+start state and cells left; counting drives it as a dynamic program over
+frontiers, and acceptance drives it with every choice fixed by the word.
+Words come out in normalized position because row 0 and column 0 must be
+occupied.
 
 Labels are strings throughout. The two-color notation packs a 2-label
 system into hex digits: tile digit d has borders (w, n, e, s) spelled
@@ -272,7 +274,10 @@ def parse_tile_system(text: str) -> TileSystem:
 # end of a row). _step, with the TileSystem.placements table it reads,
 # is the one place where borders are matched and boundary labels
 # checked; enumeration, counting, witness search and acceptance all
-# drive it.
+# drive it. Enumeration and witness search step whole rows: they list a
+# row's complete fillings once per (row, state at the row's start, cells
+# left) by walking its cells, and join the rows of a word from those
+# tables.
 
 Profile = tuple[tuple[Optional[str], ...], Optional[str]]
 Frontier = frozenset[Profile]
@@ -417,52 +422,109 @@ def _walk(
     return children
 
 
+# One complete filling of a row: its letter cells, its drawn text, its
+# cell count, its rightmost letter column plus one (0 if none), and the
+# state after it.
+RowFill = tuple[tuple[Cell, ...], str, int, int, State]
+
+
 def _search(f: TileSystem, bounds: Bounds, budget: Budget) -> Iterator[Word]:
     """Every word of the language within the bounds, once each, in search order.
 
-    Depth first over the box with an explicit stack of child iterators.
-    Letters are chosen, not tiles, so a word that several tile
-    assignments realize is reached once. The drawn characters, the letter
-    cells and the running width are kept on stacks beside the search
-    stack, so a finished path needs no pass over the box. It is
-    row-major, normalized, duplicate-free and lettered by tiles, so it
-    makes a trusted word, primed with its rendering: the drawn rows cut
-    to the word's width, down to its last row.
+    Depth first over the box one row at a time, with an explicit stack.
+    For each (row, state at the row's start, cells left) it reaches, the
+    search keeps a table of the row's complete fillings, in the order a
+    cell-by-cell walk meets them (sorted letters, then empty). A table is
+    built once, depth first across the row's cells through the walk's
+    children, and records the budget its build charged; reaching it again
+    charges that cost, so a finished search spends what the cell walk
+    would. Letters are chosen, not tiles, so a word that several tile
+    assignments realize is reached once. A word is its rows' cells
+    joined: row-major, normalized, duplicate-free and lettered by tiles,
+    so it makes a trusted word, primed with its rendering: the drawn rows
+    cut to the word's width, down to its last lettered row. The walk
+    cuts a last row that would leave column 0 empty and the search cuts
+    an empty row 0, so no finished word needs a check.
     """
-    cols, max_cells = bounds.max_cols, bounds.max_cells
-    total = bounds.max_rows * cols
+    rows, cols, max_cells = bounds.max_rows, bounds.max_cols, bounds.max_cells
     children = _walk(f, bounds, budget)
-    stack = [iter(children(0, (False, _start(cols)), True))]
-    drawn: list[str] = []  # the character drawn at each decided step
-    cells: list[Cell] = []  # the letter cells among those steps
-    widths = [0]  # the width of the letter cells so far, after each one
-    while stack:
-        move = next(stack[-1], None)
-        if move is None:
-            stack.pop()
-            if drawn and drawn.pop() != FILLER:
-                del cells[-1], widths[-1]
-            continue
-        cell, state = move
-        if cell is None:
-            drawn.append(FILLER)
-        else:
-            drawn.append(cell[2])
-            cells.append(cell)
-            widths.append(max(widths[-1], cell[1] + 1))
-        k = len(drawn)
-        if k < total:
-            if k != cols or cells:  # else row 0 stayed empty
-                stack.append(iter(children(k, state, len(cells) < max_cells)))
+    tables: dict[tuple[int, State, int], tuple[int, list[RowFill]]] = {}
+
+    def fillings(r: int, state: State, left: int) -> list[RowFill]:
+        key = (r, state, left)
+        table = tables.get(key)
+        if table is not None:
+            budget.charge(table[0])
+            return table[1]
+        before, first, out = budget.remaining, r * cols, []
+        stack = [iter(children(first, state, left > 0))]
+        drawn: list[str] = []  # the character drawn at each decided cell
+        cells: list[Cell] = []  # the letter cells among them
+        while stack:
+            move = next(stack[-1], None)
+            if move is None:
+                stack.pop()
+                if drawn and drawn.pop() != FILLER:
+                    del cells[-1]
                 continue
-        elif state[0]:  # column 0, and so row 0, is occupied
-            text, width = "".join(drawn), widths[-1]
-            rows = range(0, (cells[-1][0] + 1) * cols, cols)
-            yield Word._trusted(
-                tuple(cells), "\n".join([text[i : i + width] for i in rows])
-            )
-        if drawn.pop() != FILLER:
-            del cells[-1], widths[-1]
+            cell, after = move
+            if cell is None:
+                drawn.append(FILLER)
+            else:
+                drawn.append(cell[2])
+                cells.append(cell)
+            if len(drawn) < cols:
+                stack.append(iter(children(first + len(drawn), after, len(cells) < left)))
+                continue
+            right = cells[-1][1] + 1 if cells else 0
+            out.append((tuple(cells), "".join(drawn), len(cells), right, after))
+            if drawn.pop() != FILLER:
+                del cells[-1]
+        tables[key] = (before - budget.remaining, out)
+        return out
+
+    def words(
+        cells: tuple[Cell, ...], lines: list[str], height: int, width: int, last: list[RowFill]
+    ) -> Iterator[Word]:
+        """The words ending in a filling of the last row, below `lines`."""
+        heads: dict[int, str] = {}  # the rows above, cut to a width, by width
+        for row_cells, drawn, n, right, _ in last:
+            if n:
+                w = right if right > width else width
+                head = heads.get(w)
+                if head is None:
+                    head = heads[w] = "".join([s[:w] + "\n" for s in lines])
+                yield Word._trusted(cells + row_cells, head + drawn[:w])
+            else:
+                yield Word._trusted(cells, "\n".join([s[:width] for s in lines[:height]]))
+
+    start = (False, _start(cols))
+    if rows == 1:
+        yield from words((), [], 0, 0, fillings(0, start, max_cells))
+        return
+    lines: list[str] = []  # the drawn text of each row above the frames' last
+    # A frame: the fillings of row len(frames) - 1 left to try, and the word
+    # above that row: its cells, height and width, and the cells left.
+    frames = [(iter(fillings(0, start, max_cells)), (), 0, 0, max_cells)]
+    while frames:
+        rest, cells, height, width, left = frames[-1]
+        fill = next(rest, None)
+        if fill is None:
+            frames.pop()
+            continue
+        row_cells, drawn, n, right, state = fill
+        r = len(frames)  # the row below this filling
+        if n:
+            cells, height, width = cells + row_cells, r, max(width, right)
+        elif r == 1:
+            continue  # row 0 stayed empty
+        del lines[r - 1 :]
+        lines.append(drawn)
+        below = fillings(r, state, left - n)
+        if r < rows - 1:
+            frames.append((iter(below), cells, height, width, left - n))
+        else:
+            yield from words(cells, lines, height, width, below)
 
 
 class Language(frozenset):

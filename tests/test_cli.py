@@ -1,5 +1,6 @@
 """Command-line verbs, exit codes, output determinism."""
 
+import hashlib
 import io
 import itertools
 import json
@@ -78,6 +79,26 @@ class TestEnum:
         code, text = go("enum", "--sats", "F8c.c", "--max-rows", "3", "--max-cols", "1")
         assert code == 0
         assert text == "c\n\nc\n.\nc\n\nc\n8\n\nc\n8\n8\n"
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ("--sats", "F02ac.c", "--max-rows", "5", "--max-cols", "5",
+                 "--max-cells", "6", "--format", "records"),
+                "28c9bd914fffa0dbc84d54b1895e6d53e987170362368c6427c8f262979b0808",
+            ),
+            (
+                ("--sats", "F0f", "--max-rows", "3", "--max-cols", "4", "--max-cells", "6"),
+                "84ddec02466d3085d0ff52bd8ba26606ab82187618d47e8de87356881c01cd00",
+            ),
+        ],
+    )
+    def test_listing_bytes_are_pinned(self, argv, digest):
+        # The listings of the enumerate benchmark workload, byte for byte.
+        code, text = go("enum", *argv)
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_large_sparse_box_exits_cleanly(self):
         # A 40x40 box is searched 1,600 cells deep; this once raised RecursionError.

@@ -20,6 +20,8 @@ from gridlang.tiling import (
     Tile,
     TileSystem,
     _search,
+    _start,
+    _walk,
     accepting,
     column_strings,
     count_language,
@@ -335,6 +337,84 @@ def brute_language(f: TileSystem, rows: int, cols: int, max_cells: int) -> set[W
     return out
 
 
+def cell_search(f: TileSystem, bounds: Bounds, budget: Budget):
+    """The tile search one cell at a time, depth first over the walk's
+    children: the reference the row-table search must match."""
+    cols, max_cells = bounds.max_cols, bounds.max_cells
+    total = bounds.max_rows * cols
+    children = _walk(f, bounds, budget)
+    stack = [iter(children(0, (False, _start(cols)), True))]
+    path, cells = [], []  # the choice made at each decided cell; the letter cells
+    while stack:
+        move = next(stack[-1], None)
+        if move is None:
+            stack.pop()
+            if path and path.pop() is not None:
+                cells.pop()
+            continue
+        cell, state = move
+        path.append(cell)
+        if cell is not None:
+            cells.append(cell)
+        if len(path) < total:
+            if len(path) != cols or cells:  # else row 0 stayed empty
+                stack.append(iter(children(len(path), state, len(cells) < max_cells)))
+                continue
+        elif state[0]:
+            yield Word(tuple(cells))
+        if path.pop() is not None:
+            cells.pop()
+
+
+def searched(f: TileSystem, bounds: Bounds) -> tuple[list[Word], int]:
+    """The row-table search's words and budget spent, checked against
+    the cell search: the same words in the same order, rendered as fresh
+    words render, for the same spend."""
+    budget, reference = Budget(bounds.node_budget), Budget(bounds.node_budget)
+    words = list(_search(f, bounds, budget))
+    fresh = list(cell_search(f, bounds, reference))
+    assert words == fresh
+    assert [w.rendering for w in words] == [w.rendering for w in fresh]
+    assert budget.remaining == reference.remaining
+    return words, bounds.node_budget - budget.remaining
+
+
+class TestRowSearch:
+    @pytest.mark.parametrize(
+        "sats, box, spent",
+        [
+            ("F02ac.c", (4, 4, 8), 24_974),
+            ("F0f", (3, 4, 6), 36_372),
+            ("F3c5a", (3, 3, 5), 66_075),
+            ("F02ac.c", (5, 5, 6), 299_148),
+        ],
+    )
+    def test_matches_cell_search_with_pinned_spend(self, sats, box, spent):
+        assert searched(parse_two_color(sats), Bounds(*box))[1] == spent
+
+    def test_matches_cell_search_on_thin_boxes_and_shared_letters(self):
+        two_per_letter = parse_tile_system(
+            "tile a w=0 n=0 e=0 s=0\n"
+            "tile a w=0 n=0 e=0 s=1\n"
+            "accept w={0} n={0} e={0} s={0,1}\n"
+        )
+        for f, box in [
+            (F, (1, 5, 5)),
+            (F, (5, 1, 5)),
+            (F, (6, 6, 4)),
+            (F, (40, 40, 1)),
+            (parse_two_color("F8c.c"), (6, 2, 6)),
+            (two_per_letter, (3, 3, 6)),
+        ]:
+            assert searched(f, Bounds(*box))[0], box
+
+    def test_wide_box(self):
+        # A 60-cell row holds 1,831 fillings of up to 2 cells; its tables
+        # list only those that fit the cells left.
+        f, bounds = parse_two_color("F0"), Bounds(6, 60, 2)
+        assert len(enumerate_language(f, bounds)) == 655 == count_language(f, bounds)
+
+
 class TestEnumerate:
     def test_single_cell_bounds(self):
         assert enumerate_language(F, Bounds(1, 1, 1)) == {W("c")}
@@ -502,9 +582,7 @@ class TestCountLanguage:
             # Each merged counting state stands for at least one search
             # node charged at least as much, so a budget the enumeration
             # finishes under suffices for counting too.
-            budget = Budget(bounds.node_budget)
-            words = list(_search(f, bounds, budget))
-            spent = bounds.node_budget - budget.remaining
+            words, spent = searched(f, bounds)
             tight = Bounds(rows, cols, cells, node_budget=spent)
             assert count_language(f, tight) == len(words), sats
 
