@@ -465,7 +465,15 @@ def run(argv: Sequence[str], out: Optional[TextIO] = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left early. Point stdout at the null device, so that
+        # the flush at exit cannot fail again, and exit 1 without a word.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -19,10 +19,14 @@ and '#' needs a common element by definition.
 
 Composition places the second word at every integer offset where the
 two closed regions share at least one lattice point, cells stay
-disjoint, and the restriction holds. Candidate offsets come from the
-comparisons on the conjunction spine, or else from contact. Restricted
-iteration (star) closes a language under composing with it on the
-right, inside given bounds.
+disjoint, and the restriction holds. Each call compiles the restriction
+once into a plan: numbered selectors, the conjunction-spine comparisons,
+and one predicate over the two words' selections. Candidate offsets
+come from the spine, or else from contact. A spine '=' gives the one
+offset min(a) - min(b), exactly, as translation keeps the order of keys
+(axis, row, col); every candidate still meets the whole predicate.
+Restricted iteration (star) closes a language under composing with it
+on the right, inside given bounds.
 
 Concrete restriction syntax: selectors w, n, e, s, nw, ne, sw, se and
 the primed golf kinds, with an optional extremeness prefix 'x' or
@@ -33,7 +37,7 @@ the primed golf kinds, with an optional extremeness prefix 'x' or
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .grid import (
     FILTER_ANY,
@@ -285,125 +289,138 @@ def uses_extremeness(r: Restriction) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Plans
 
 
-def _comparison_holds(
-    a: frozenset[Key], op: str, b: frozenset[Key], dr: int, dc: int
-) -> bool:
-    # b is interpreted at offset (dr, dc); membership is tested by shifting
-    # single keys rather than translating whole sets.
-    if op == "=":
-        return len(a) == len(b) and all(
-            (ax, r - dr, c - dc) in b for ax, r, c in a
+class _Plan:
+    """A restriction compiled for one call: `sels` numbers the left and
+    the right selectors, `spine` holds the spine comparisons as (left
+    index, op, right index), '=' first, and `holds` is the predicate over
+    the two words' selection tuples and the right word's offset."""
+
+    def __init__(self, r: Restriction) -> None:
+        self.sels: tuple[list[Selector], list[Selector]] = ([], [])
+        self.spine: list[tuple[int, str, int]] = []
+        self.holds = self._compile(r, True)
+        self.spine.sort(key=lambda atom: atom[1] != "=")
+        # A spine '<', '>' or '#' never holds with an empty side.
+        self.needed = tuple({atom[k] for atom in self.spine if atom[1] != "="} for k in (0, 2))
+
+    def _compile(self, r: Restriction, on_spine: bool):
+        if isinstance(r, Always):
+            return lambda a, b, dr, dc: True
+        if isinstance(r, Not):
+            item = self._compile(r.item, False)
+            return lambda a, b, dr, dc: not item(a, b, dr, dc)
+        if isinstance(r, (And, Or)):
+            join, spine = (all, on_spine) if isinstance(r, And) else (any, False)
+            items = tuple(self._compile(item, spine) for item in r.items)
+            return lambda a, b, dr, dc: join(f(a, b, dr, dc) for f in items)
+        if not isinstance(r, Comparison):
+            raise TypeError(f"not a restriction: {r!r}")
+        for sels, sel in zip(self.sels, (r.left, r.right)):
+            if sel not in sels:
+                sels.append(sel)
+        i, j = self.sels[0].index(r.left), self.sels[1].index(r.right)
+        if on_spine:
+            self.spine.append((i, r.op, j))
+        # The right selection sits at offset (dr, dc); membership is tested
+        # by shifting single keys rather than translating whole sets.
+        if r.op == "=":
+            return lambda a, b, dr, dc: len(a[i]) == len(b[j]) and all(
+                (ax, row - dr, col - dc) in b[j] for ax, row, col in a[i]
+            )
+        if r.op == "<":
+            return lambda a, b, dr, dc: bool(a[i]) and all(
+                (ax, row - dr, col - dc) in b[j] for ax, row, col in a[i]
+            )
+        if r.op == ">":
+            return lambda a, b, dr, dc: bool(b[j]) and all(
+                (ax, row + dr, col + dc) in a[i] for ax, row, col in b[j]
+            )
+        return lambda a, b, dr, dc: any(
+            (ax, row + dr, col + dc) in a[i] for ax, row, col in b[j]
         )
-    if op == "<":
-        return bool(a) and all((ax, r - dr, c - dc) in b for ax, r, c in a)
-    if op == ">":
-        return bool(b) and all((ax, r + dr, c + dc) in a for ax, r, c in b)
-    return any((ax, r + dr, c + dc) in a for ax, r, c in b)
 
+    def selections(self, w: Word, side: int) -> Optional[tuple[frozenset[Key], ...]]:
+        """The word's selections as operand `side` (0 left, 1 right), or
+        None when a spine comparison that needs one finds it empty."""
+        got = tuple(map(w.selection, self.sels[side]))
+        return None if any(not got[k] for k in self.needed[side]) else got
 
-def _holds_at(r: Restriction, v: Word, w: Word, dr: int, dc: int) -> bool:
-    if isinstance(r, Always):
-        return True
-    if isinstance(r, Comparison):
-        return _comparison_holds(
-            v.selection(r.left), r.op, w.selection(r.right), dr, dc
-        )
-    if isinstance(r, Not):
-        return not _holds_at(r.item, v, w, dr, dc)
-    if isinstance(r, And):
-        return all(_holds_at(item, v, w, dr, dc) for item in r.items)
-    if isinstance(r, Or):
-        return any(_holds_at(item, v, w, dr, dc) for item in r.items)
-    raise TypeError(f"not a restriction: {r!r}")
+    def offsets(self, v: Word, a, w: Word, b) -> Iterable[Offset]:
+        """Offsets of w that every spine comparison allows, or, when none
+        gives information, those sharing a cell-corner lattice point with
+        v. A spine comparison that holds makes the placed contours share
+        an element, hence a lattice point: contact needs no own test."""
+        cands: Optional[set[Offset]] = None
+        for i, op, j in self.spine:
+            x, y = a[i], b[j]
+            if op == "=":
+                if len(x) != len(y):
+                    return ()
+                if not x:
+                    continue  # two empty selections are equal anywhere
+                # Translation keeps the (axis, row, col) order, so equal
+                # sets line up their least keys.
+                (ax, r0, c0), (ay, r1, c1) = min(x), min(y)
+                offs = {(r0 - r1, c0 - c1)} if ax == ay else set()
+            elif op == "<":
+                ax0, r0, c0 = min(x)
+                offs = {(r0 - r, c0 - c) for ax, r, c in y if ax == ax0}
+            elif op == ">":
+                ax0, r0, c0 = min(y)
+                offs = {(r - r0, c - c0) for ax, r, c in x if ax == ax0}
+            else:
+                offs = {(ar - br, ac - bc) for ax, ar, ac in x for bx, br, bc in y if ax == bx}
+            cands = offs if cands is None else cands & offs
+            if len(cands) < 2:
+                break  # the predicate tests the rest of the spine
+        if cands is None:
+            points_w = _lattice_points(w)
+            return {(pr - qr, pc - qc) for pr, pc in _lattice_points(v) for qr, qc in points_w}
+        return cands
 
-
-def eval_restriction(r: Restriction, v: Word, w: Word) -> bool:
-    """Evaluate with both words already placed in a common frame."""
-    return _holds_at(r, v, w, 0, 0)
-
-
-# ---------------------------------------------------------------------------
-# Placement search
-
-
-def _positive_atoms(r: Restriction) -> list[Comparison]:
-    """Comparisons on the top-level conjunction spine."""
-    if isinstance(r, Comparison):
-        return [r]
-    if isinstance(r, And):
-        out: list[Comparison] = []
-        for item in r.items:
-            out.extend(_positive_atoms(item))
-        return out
-    return []
-
-
-def _atom_offsets(
-    atom: Comparison, v: Word, w: Word
-) -> Optional[frozenset[Offset]]:
-    """Offsets at which one comparison could hold; None means no information."""
-    a = v.selection(atom.left)
-    b = w.selection(atom.right)
-    if not a or not b:
-        # Two empty selections are equal at every offset; any other
-        # comparison with an empty side never holds.
-        return None if atom.op == "=" and not a and not b else frozenset()
-    if atom.op == "<":
-        ax0, r0, c0 = min(a)
-        return frozenset((r0 - r, c0 - c) for ax, r, c in b if ax == ax0)
-    if atom.op in ("=", ">"):
-        ax0, r0, c0 = min(b)
-        return frozenset((r - r0, c - c0) for ax, r, c in a if ax == ax0)
-    # '#'
-    return frozenset(
-        (ar - br, ac - bc)
-        for ax_a, ar, ac in a
-        for ax_b, br, bc in b
-        if ax_a == ax_b
-    )
+    def place(self, v: Word, a, w: Word, b) -> Iterator[Word]:
+        """Normalized joint placements of normalized v and w that keep
+        cells disjoint and satisfy the restriction."""
+        occ_v = v.positions
+        for dr, dc in self.offsets(v, a, w, b):
+            if not self.holds(a, b, dr, dc):
+                continue
+            placed = [(pr + dr, pc + dc, letter) for pr, pc, letter in w.cells]
+            if any((pr, pc) in occ_v for pr, pc, _ in placed):
+                continue  # overlap
+            # Both words start at row and column 0: shift the union there.
+            sr, sc = max(-dr, 0), max(-dc, 0)
+            cells = v.cells + tuple(placed) if sr == sc == 0 else [
+                (pr + sr, pc + sc, letter) for pr, pc, letter in (*v.cells, *placed)
+            ]
+            yield Word._trusted(tuple(sorted(cells)))
 
 
 def _lattice_points(w: Word) -> set[Offset]:
     return {(r + a, c + b) for r, c, _ in w.cells for a in (0, 1) for b in (0, 1)}
 
 
-def _candidate_offsets(r: Restriction, v: Word, w: Word) -> frozenset[Offset]:
-    """Offsets of w that every comparison on the conjunction spine allows,
-    or, when none gives information, those sharing a cell-corner lattice
-    point with v. A spine comparison that holds makes the placed contours
-    share an element, hence a lattice point: contact needs no own test."""
-    cands: Optional[frozenset[Offset]] = None
-    for atom in _positive_atoms(r):
-        offs = _atom_offsets(atom, v, w)
-        if offs is None:
-            continue
-        cands = offs if cands is None else (cands & offs)
-        if not cands:
-            return frozenset()
-    if cands is None:
-        points_w = _lattice_points(w)
-        cands = frozenset(
-            (pr - qr, pc - qc) for pr, pc in _lattice_points(v) for qr, qc in points_w
-        )
-    return cands
+def eval_restriction(r: Restriction, v: Word, w: Word) -> bool:
+    """Evaluate with both words already placed in a common frame."""
+    plan = _Plan(r)
+    a, b = (tuple(map(u.selection, sels)) for u, sels in zip((v, w), plan.sels))
+    return plan.holds(a, b, 0, 0)
+
+
+# ---------------------------------------------------------------------------
+# Placement search
 
 
 def compose_words(v: Word, w: Word, r: Restriction) -> frozenset[Word]:
     """All normalized joint placements of v and w satisfying the restriction."""
-    v, w = normalize(v), normalize(w)
-    occ_v = v.positions
-    out: set[Word] = set()
-    for dr, dc in _candidate_offsets(r, v, w):
-        placed = tuple((pr + dr, pc + dc, letter) for pr, pc, letter in w.cells)
-        if any((pr, pc) in occ_v for pr, pc, _ in placed):
-            continue  # overlap
-        if not _holds_at(r, v, w, dr, dc):
-            continue
-        out.add(normalize(Word._trusted(tuple(sorted(v.cells + placed)))))
-    return frozenset(out)
+    v, w, plan = normalize(v), normalize(w), _Plan(r)
+    a, b = plan.selections(v, 0), plan.selections(w, 1)
+    if a is None or b is None:
+        return frozenset()
+    return frozenset(plan.place(v, a, w, b))
 
 
 def compose_langs(
@@ -418,18 +435,28 @@ def compose_langs(
     Every pair is charged to `budget`, which raises BudgetExhausted once
     it runs out. A pair whose cells together exceed `bounds.max_cells`
     is not placed: placed cells are disjoint, so every result would have
-    that many cells and fail the bounds.
+    that many cells and fail the bounds. A left word that fits beside
+    some right word fetches its selections once, a right word the first
+    time a pair needs them.
     """
+    plan = _Plan(r)
     right = sorted((normalize(w) for w in l2), key=len)
     sizes = [len(w) for w in right]
+    fetched: list = [False] * len(right)  # False: not fetched yet
     out: set[Word] = set()
     for v in l1:
         v = normalize(v)
         budget.charge(len(right))
-        for w in right[: bisect_right(sizes, bounds.max_cells - len(v))]:
-            for res in compose_words(v, w, r):
-                if bounds.admits(res):
-                    out.add(res)
+        cut = bisect_right(sizes, bounds.max_cells - len(v))
+        a = plan.selections(v, 0) if cut else None
+        if a is None:
+            continue
+        for k in range(cut):
+            w, b = right[k], fetched[k]
+            if b is False:
+                b = fetched[k] = plan.selections(w, 1)
+            if b is not None:
+                out.update(filter(bounds.admits, plan.place(v, a, w, b)))
     return frozenset(out)
 
 

@@ -29,7 +29,8 @@ There are 12 kinds:
 An extreme cell has at most one occupied cell among the 8 positions
 around it. Selectors pick contour elements by kind with an optional
 extremeness filter applied to the elements' inside cells. A word keeps
-each selection it is asked for as a set of keys (axis, row, col).
+each selection it is asked for as a set of keys (axis, row, col), all
+computed from one occupancy bitboard of the word.
 
 The module also holds what every layer shares: the `record` class
 decorator, search budgets and bounds, the parsers' line reader and
@@ -170,21 +171,8 @@ _PATTERNS: dict[str, tuple[tuple[Pos, ...], tuple[Pos, ...]]] = {
 }
 
 
-# The cells around a lattice point in bit order of its occupancy mask, and
-# the element kinds that sit at a point with each of the 16 masks.
+# The four cells around a lattice point.
 _AROUND_POINT = (_TL, _TR, _BL, _BR)
-
-
-def _kinds(mask: int) -> tuple[str, ...]:
-    occupied = {off for bit, off in enumerate(_AROUND_POINT) if mask >> bit & 1}
-    return tuple(
-        kind
-        for kind, (inside, outside) in _PATTERNS.items()
-        if occupied.issuperset(inside) and occupied.isdisjoint(outside)
-    )
-
-
-_KIND_TABLE = tuple(_kinds(mask) for mask in range(16))
 
 # Element kind -> its axis class: 'v' vertical edge, 'h' horizontal edge,
 # 'p' lattice point.
@@ -208,6 +196,18 @@ def _inside_cells(occ: frozenset[Pos], kind: str, pr: int, pc: int) -> frozenset
 _AROUND8 = tuple(
     (dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1) if (dr, dc) != (0, 0)
 )
+
+
+def _cells(mask: int, stride: int, top: int, left: int) -> list[Pos]:
+    """(top + row, left + col) of each set bit, bit i sitting at
+    divmod(i, stride)."""
+    out = []
+    while mask:
+        low = mask & -mask
+        r, c = divmod(low.bit_length() - 1, stride)
+        out.append((r + top, c + left))
+        mask ^= low
+    return out
 
 
 @record
@@ -304,8 +304,8 @@ class Word:
 
         Callers: `translate` (an integral shift), the tile search in
         `tiling` (cells and drawn rows joined row by row, so in row-major
-        order), and `compose.compose_words`
-        (the sorted union of two valid words its overlap test keeps apart).
+        order), and `compose._Plan.place` (the sorted union of two valid
+        words its overlap test keeps apart, shifted to row and column 0).
         """
         w = object.__new__(cls)
         w.__dict__["cells"] = cells
@@ -323,10 +323,10 @@ class Word:
 
     @cached_property
     def bbox(self) -> tuple[int, int, int, int]:
-        """(min_row, min_col, max_row, max_col) over occupied cells."""
-        rows = [r for r, _, _ in self.cells]
+        """(min_row, min_col, max_row, max_col) over occupied cells; the
+        cells are sorted, so the rows are the first and last cells'."""
         cols = [c for _, c, _ in self.cells]
-        return (min(rows), min(cols), max(rows), max(cols))
+        return (self.cells[0][0], min(cols), self.cells[-1][0], max(cols))
 
     @cached_property
     def rendering(self) -> str:
@@ -352,43 +352,37 @@ class Word:
         return self.bbox[3] - self.bbox[1] + 1
 
     @cached_property
-    def _contour_points(self) -> dict[str, list[Pos]]:
-        """Contour element kind -> the lattice points identifying its elements."""
-        occ = self.positions
-        table: dict[str, list[Pos]] = {kind: [] for kind in ELEMENT_KINDS}
-        # Every element sits at one of the four lattice points around an
-        # occupied cell; each point is classified once by the occupancy of
-        # its four cells.
-        points = {(r + dr, c + dc) for r, c in occ for dr in (0, 1) for dc in (0, 1)}
-        for pr, pc in points:
-            mask = (
-                ((pr - 1, pc - 1) in occ)
-                | ((pr - 1, pc) in occ) << 1
-                | ((pr, pc - 1) in occ) << 2
-                | ((pr, pc) in occ) << 3
-            )
-            for kind in _KIND_TABLE[mask]:
-                table[kind].append((pr, pc))
-        return table
+    def _board(self) -> tuple[int, int, int, int, int]:
+        """The word as bitboards: (stride, top, left, occupancy, extreme
+        cells). Cell (r, c) and the lattice point (r, c) are both bit
+        (r - top) * stride + c - left. An empty row above and below and an
+        empty column either side keep one-cell shifts from wrapping.
+        """
+        r0, c0, r1, c1 = self.bbox
+        stride, top, left = c1 - c0 + 3, r0 - 1, c0 - 1
+        occ = sum(1 << ((r - top) * stride + c - left) for r, c, _ in self.cells)
+        ones = twos = 0  # cells with at least one, and two, occupied neighbours
+        for dr, dc in _AROUND8:
+            step = dr * stride + dc  # bit i of nb is bit i + step of occ
+            nb = occ >> step if step > 0 else occ << -step
+            twos |= ones & nb
+            ones |= nb
+        return stride, top, left, occ, occ & ~twos
 
     @cached_property
     def contour(self) -> frozenset[Element]:
         """Every side edge and corner point on the boundary, holes included."""
         return frozenset(
-            Element(kind, pr, pc)
-            for kind, points in self._contour_points.items()
-            for pr, pc in points
+            Element(kind, r, c)
+            for kind in ELEMENT_KINDS
+            for _, r, c in self.selection(Selector(kind))
         )
 
     @cached_property
     def extreme_cells(self) -> frozenset[Pos]:
         """Cells with at most one occupied cell among their 8 neighbours."""
-        occ = self.positions
-        return frozenset(
-            (r, c)
-            for r, c in occ
-            if sum(((r + dr, c + dc) in occ) for dr, dc in _AROUND8) <= 1
-        )
+        stride, top, left, _, xs = self._board
+        return frozenset(_cells(xs, stride, top, left))
 
     @cached_property
     def _selections(self) -> dict[Selector, frozenset[Key]]:
@@ -398,21 +392,30 @@ class Word:
         """Keys (axis, row, col) of the contour elements `sel` picks, kept
         on the word once asked for.
 
-        With a filter, an element is picked when all (extreme) or none
-        (nonextreme) of the occupied cells it touches are extreme.
+        The lattice points of a kind are the bitboard AND of its pattern's
+        occupied and empty cells, each shifted onto the point. With a
+        filter, an element is picked when all (extreme) or none
+        (nonextreme) of the occupied cells it touches are extreme, so the
+        points touching a bad cell are cleared.
         """
         keys = self._selections.get(sel)
         if keys is None:
-            points = self._contour_points[sel.kind]
+            stride, top, left, occ, xs = self._board
+            inside, outside = _PATTERNS[sel.kind]
+            # Pattern cells sit north or west of the point: shifts go up.
+            picked = -1
+            for dr, dc in inside:
+                picked &= occ << -dr * stride - dc
+            for dr, dc in outside:
+                picked &= ~(occ << -dr * stride - dc)
             if sel.filter != FILTER_ANY:
-                occ, xs = self.positions, self.extreme_cells
-                inside = [_inside_cells(occ, sel.kind, pr, pc) for pr, pc in points]
-                if sel.filter == FILTER_EXTREME:
-                    points = [p for p, cells in zip(points, inside) if cells <= xs]
-                else:
-                    points = [p for p, cells in zip(points, inside) if not cells & xs]
+                bad = occ & ~xs if sel.filter == FILTER_EXTREME else xs
+                for dr, dc in _TOUCHED[sel.kind]:
+                    picked &= ~(bad << -dr * stride - dc)
             axis = _AXIS[sel.kind]
-            keys = self._selections[sel] = frozenset((axis, pr, pc) for pr, pc in points)
+            keys = self._selections[sel] = frozenset(
+                [(axis, r, c) for r, c in _cells(picked, stride, top, left)]
+            )
         return keys
 
     def __len__(self) -> int:

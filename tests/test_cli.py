@@ -39,14 +39,21 @@ def dumped(words) -> str:
     )
 
 
-def python(*argv: str) -> subprocess.CompletedProcess:
-    """Run a fresh interpreter that imports gridlang from this checkout."""
+def checkout_env() -> dict:
+    """The environment of a fresh interpreter that imports gridlang from
+    this checkout."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
+    return env
+
+
+def python(*argv: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports gridlang from this checkout."""
     return subprocess.run(
-        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, *argv], capture_output=True, text=True, env=checkout_env(),
+        timeout=120,
     )
 
 
@@ -398,6 +405,20 @@ class TestModuleEntry:
     def test_enum(self):
         res = python("-m", "gridlang.cli", "enum", "--sats", "F02ac.c", "--max-cells", "1")
         assert (res.returncode, res.stdout, res.stderr) == (0, "c\n", "")
+
+    def test_reader_closing_early_exits_1_without_a_traceback(self):
+        # The reader is gone before the first write, as under `| head -c
+        # 300` once the listing outgrows what the pipe buffers.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "gridlang.cli", "solve", "--file",
+             str(CORPUS / "mutual.t2d"), "--var", "U", "--max-rows", "9",
+             "--max-cols", "9", "--max-cells", "12", "--format", "records"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=checkout_env(),
+        )
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=120), err) == (1, b"")
 
 
 class TestBenchEntry:

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from conftest import W, random_restriction, random_word
+from gridlang import equations
 from gridlang.compose import (
     Always,
     And,
@@ -21,11 +22,15 @@ from gridlang.compose import (
     star,
     uses_extremeness,
 )
+from gridlang.expr import parse_system
 from gridlang.grid import (
+    FILTERS,
+    GOLF_KINDS,
     Bounds,
     BudgetExhausted,
     Selector,
     Word,
+    corpus_text,
     normalize,
     select,
     translate,
@@ -291,6 +296,87 @@ class TestComposeOracle:
             v = random_word(rng, 3)
             w = random_word(rng, 3)
             assert compose_words(v, w, Always()) == oracle_compose(v, w, Always())
+
+
+def oracle_restriction(rng, depth=2):
+    """A random restriction that also draws `always`, negations,
+    disjunctions, extremeness filters, and golf-corner equalities, which
+    on words this small often compare two empty selections."""
+    pick = rng.random()
+    if pick < 0.1:
+        return Always()
+    if pick < 0.25:
+        golf = lambda: Selector(rng.choice(GOLF_KINDS), rng.choice(FILTERS))
+        return Comparison(golf(), "=", golf())
+    if depth and pick < 0.55:
+        items = tuple(oracle_restriction(rng, depth - 1) for _ in range(2))
+        return rng.choice((Not(items[0]), And(items), Or(items)))
+    return random_restriction(rng, 0)
+
+
+class TestComposeLangsOracle:
+    def test_matches_the_union_of_pair_scans(self):
+        rng = random.Random(1804)
+        placed = both_empty = 0
+        for _ in range(200):
+            l1 = {random_word(rng, 3) for _ in range(rng.randint(1, 3))}
+            l2 = {random_word(rng, 3) for _ in range(rng.randint(1, 3))}
+            r = oracle_restriction(rng)
+            rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+            bounds = Bounds(rows, cols, rng.randint(rows * cols // 2 + 1, rows * cols))
+            want = frozenset(
+                res
+                for v in l1
+                for w in l2
+                for res in oracle_compose(v, w, r)
+                if bounds.admits(res)
+            )
+            budget = Budget(10_000)
+            assert compose_langs(l1, l2, r, bounds, budget) == want, format_restriction(r)
+            assert 10_000 - budget.remaining == len(l1) * len(l2)
+            placed += bool(want)
+            both_empty += any(
+                c.op == "=" and not v.selection(c.left) and not w.selection(c.right)
+                for c in comparisons(r)
+                for v in l1
+                for w in l2
+            )
+        assert placed >= 50 and both_empty >= 40, (placed, both_empty)
+
+
+def comparisons(r):
+    if isinstance(r, Comparison):
+        return [r]
+    if isinstance(r, Not):
+        return comparisons(r.item)
+    if isinstance(r, (And, Or)):
+        return [c for item in r.items for c in comparisons(item)]
+    return []
+
+
+class TestSolveSpends:
+    # The node budget a solve spends: one unit per pair of words that
+    # composition meets, pairs it skips without placing included.
+    @pytest.mark.parametrize(
+        "name, bounds, spent",
+        [
+            ("squares", Bounds(17, 17, 17), 19_829),
+            ("mutual", Bounds(9, 9, 12), 9_972),
+            ("f02ac-general", Bounds(7, 7, 16), 7_943),
+        ],
+    )
+    def test_budget_left_after_solve(self, monkeypatch, name, bounds, spent):
+        made = []
+
+        class Recorded(Budget):
+            def __init__(self, remaining):
+                super().__init__(remaining)
+                made.append(self)
+
+        monkeypatch.setattr(equations, "Budget", Recorded)
+        sol = equations.solve(parse_system(corpus_text(name + ".t2d")), bounds)
+        assert sol.saturated and len(made) == 1
+        assert made[0].remaining == bounds.node_budget - spent
 
 
 class TestComposeLangs:

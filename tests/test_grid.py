@@ -377,30 +377,61 @@ def brute_extreme_cells(w: Word):
     }
 
 
-class TestSelectionDefinition:
-    SELECTORS = [Selector(k, f) for k in ELEMENT_KINDS for f in FILTERS]
+SELECTORS = [Selector(k, f) for k in ELEMENT_KINDS for f in FILTERS]
 
+
+def assert_selections_match_the_definition(w: Word) -> None:
+    """Every selector's `select` and `selection` on w, against the pattern
+    contour filtered cell by cell with the brute-force extreme cells."""
+    elems = pattern_contour(w)
+    occ, xs = w.positions, brute_extreme_cells(w)
+    for sel in SELECTORS:
+        want = set()
+        for el in elems:
+            if el.kind != sel.kind:
+                continue
+            inside = touched_cells(el) & occ
+            if sel.filter == "extreme" and not all(p in xs for p in inside):
+                continue
+            if sel.filter == "nonextreme" and any(p in xs for p in inside):
+                continue
+            want.add(el)
+        got = select(w, sel)
+        assert got == want, (render_ascii(w), sel)
+        assert w.selection(sel) == {el.key for el in got}, (render_ascii(w), sel)
+
+
+class TestSelectionDefinition:
     def test_select_and_selection_match_the_pattern_contour(self):
-        assert len(self.SELECTORS) == 36
+        assert len(SELECTORS) == 36
         rng = random.Random(909)
         for _ in range(1000):
-            w = random_word(rng)
-            elems = pattern_contour(w)
-            occ, xs = w.positions, brute_extreme_cells(w)
-            for sel in self.SELECTORS:
-                want = set()
-                for el in elems:
-                    if el.kind != sel.kind:
-                        continue
-                    inside = touched_cells(el) & occ
-                    if sel.filter == "extreme" and not all(p in xs for p in inside):
-                        continue
-                    if sel.filter == "nonextreme" and any(p in xs for p in inside):
-                        continue
-                    want.add(el)
-                got = select(w, sel)
-                assert got == want, (render_ascii(w), sel)
-                assert w.selection(sel) == {el.key for el in got}, (render_ascii(w), sel)
+            assert_selections_match_the_definition(random_word(rng))
+
+    def test_odd_coordinates_and_long_words(self):
+        # The bitboard puts a word's bounding box at its origin, so the
+        # geometry must not depend on where the word sits or how long a
+        # row of the board is.
+        rng = random.Random(1812)
+        words = [
+            translate(random_word(rng), rng.randint(-60, 60), rng.randint(-60, 60))
+            for _ in range(60)
+        ]
+        words += [
+            Word(tuple((-4, c, "a") for c in range(-150, 150))),  # 1x300 bar
+            Word(tuple((r, -9, "b") for r in range(-299, 1))),  # 300x1 column
+            Word(tuple((7, c, "a") for c in range(0, 300, 2))),  # 1x299, no contact
+            Word(((-3, -3, "a"), (-3, -1, "a"), (-2, -2, "b"), (-1, -3, "a"))),
+        ]
+        assert any(min(w.positions) < (0, 0) for w in words)
+        for w in words:
+            assert contour(w) == pattern_contour(w), render_ascii(w)
+            assert extreme_cells(w) == brute_extreme_cells(w), render_ascii(w)
+            assert_selections_match_the_definition(w)
+        bar, column = words[-4], words[-3]
+        assert extreme_cells(bar) == {(-4, -150), (-4, 149)}
+        assert extreme_cells(column) == {(-299, -9), (0, -9)}
+        assert len(contour(bar)) == len(contour(column)) == 2 * 300 + 2 + 4
 
     def test_selection_is_kept_on_the_word(self):
         w = W("a.", "aa")
