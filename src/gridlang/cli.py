@@ -22,6 +22,7 @@ it, so existing command lines keep working.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -452,6 +453,11 @@ def run(argv: Sequence[str], out: Optional[TextIO] = None) -> int:
         args = parser.parse_args(list(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    # A command builds many long-lived containers and frees them at the
+    # end, so the cyclic collector would only rescan them: pause it for
+    # the command, and switch it back on only if it was on.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args, sink)
     except _CliError as exc:
@@ -462,6 +468,9 @@ def run(argv: Sequence[str], out: Optional[TextIO] = None) -> int:
             _emit_words(exc.partial, args.format, sink)
         print(_PARTIAL_MARKER, file=sink)
         return 1
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def main() -> None:

@@ -28,10 +28,11 @@ field reader, and a rule's where clause go through the expression
 grammar; the nesting bound counts each of them on its own. Scenario
 text writes every shared border twice and repeats each datum kept so
 far in every later set, so parsing shares equal data: within one
-parse_scenario call, each distinct field text and each distinct set
-item is parsed and evaluated once, and every copy of it in the text
-comes back as the same object. format_dexpr prints data and templates
-alike, as text that parses back to them.
+parse_scenario call, each distinct field text is parsed once, set
+items are keyed by their text, so each is parsed and evaluated once,
+and interned by value, so every copy of an item comes back as the same
+object. format_dexpr prints data and templates alike, as text that
+parses back to them.
 
 The communication protocol from the problem domain ships as a builtin
 library and scenario. Its SR and End modules are reconstructions (the
@@ -602,10 +603,16 @@ _BRACKETS = str.maketrans(
     "{}", "()", "".join(c for c in map(chr, range(128)) if c not in "(){}")
 )
 _NOT_BRACKET = re.compile(r"[^()]+")
-_OPENERS = frozenset("({")
-_ITEM_ENDS = frozenset(",})")
-# What parse_scenario's tables return for text not parsed yet; None is
-# the blank border.
+# Scenario fields read a flat set display as one token; _ITEM_COMMA cuts
+# its items apart, its lookahead stopping at the next comma or bracket.
+_SET_TOKEN = re.compile(r"\{[^(){}]*(?:\([^(){}]*\)[^(){}]*)*\}|" + _TOKEN.pattern)
+_ITEM_COMMA = re.compile(r",(?![^(),]*\))")
+# parse_scenario's tables of set data: the datum of each set item and of
+# each flat set display, by its text, and the one object of each item's
+# value. An item holds no brace, so the two kinds of text never meet.
+_Shared = tuple[dict[str, Datum], dict[Datum, Datum]]
+# What parse_scenario's field table returns for text not parsed yet;
+# None is the blank border.
 _UNSEEN = object()
 
 
@@ -628,21 +635,21 @@ def _nesting(line: str) -> int:
 
 
 class _Tokens:
-    """The tokens of one border field or where clause, and a cursor.
+    """The tokens of one border field, where clause or set item, and a cursor.
 
-    `shared` is parse_scenario's table of set items parsed so far: it
-    maps an item's run of tokens to the datum that run grounds to.
-    Module libraries have no table.
+    `shared` holds parse_scenario's tables of set data (see _Shared).
+    With them, a flat set display (no brace inside, and no bracket
+    nested in its parentheses) is one token, read by _flat_set; any
+    other set is read bracket by bracket, its items without the tables.
+    Module libraries have no tables and tokenize every bracket alone.
     """
 
-    def __init__(
-        self, line: str, shared: Optional[dict[tuple[str, ...], Datum]] = None
-    ) -> None:
+    def __init__(self, line: str, shared: Optional[_Shared] = None) -> None:
         if _BAD_CHAR.search(line):
             raise ValueError(f"bad character in {line!r}")
-        self.items = _TOKEN.findall(line)
         if _nesting(line) > MAX_NESTING:
             raise ValueError(f"nesting deeper than {MAX_NESTING} in {line!r}")
+        self.items = (_TOKEN if shared is None else _SET_TOKEN).findall(line)
         self.line = line
         self.shared = shared
         self.at = 0
@@ -660,38 +667,28 @@ class _Tokens:
         return tok
 
 
-def _parse_item(t: _Tokens) -> DExpr:
-    """A set item, which ends at a ',', '}' or ')' outside its brackets.
+def _flat_set(tok: str, t: _Tokens) -> frozenset:
+    """The set a flat set token displays, looked up by the token's text.
 
-    In a scenario, an item that parses exactly is grounded and
-    remembered, so an equal run of tokens later returns the same datum
-    without parsing. A run the parse does not consume is left to the
-    caller to reject.
+    A set not seen yet is cut into items at the commas outside
+    parentheses, and each item is looked up by its text. An item not
+    seen yet is parsed from its own tokens, which it must use up, then
+    grounded and kept as the one object of its value.
     """
-    if t.shared is None:
-        return _parse_sum(t)
-    items, depth = t.items, 0
-    for end in range(t.at, len(items)):
-        tok = items[end]
-        if tok in _OPENERS:
-            depth += 1
-        elif tok in _ITEM_ENDS:
-            if depth == 0:
-                break
-            if tok != ",":
-                depth -= 1
-    else:
-        end = len(items)
-    key = tuple(items[t.at : end])
-    d = t.shared.get(key, _UNSEEN)
-    if d is not _UNSEEN:
-        t.at = end
-        return d
-    e = _parse_sum(t)
-    if t.at != end:
-        return e
-    d = t.shared[key] = _ground(e, t.line)
-    return d
+    texts, data = t.shared
+    s = texts.get(tok)
+    if s is None:
+        parts = _ITEM_COMMA.split(tok[1:-1]) if tok[1:-1].strip() else []
+        for text in parts:
+            if text not in texts:
+                item = _Tokens(text)
+                e = _parse_sum(item)
+                if item.peek() is not None:
+                    raise ValueError(f"trailing tokens in set item {text!r} of {t.line!r}")
+                d = _ground(e, t.line)
+                texts[text] = data.setdefault(d, d)
+        s = texts[tok] = frozenset([texts[text] for text in parts])
+    return s
 
 
 def _parse_atom(t: _Tokens) -> DExpr:
@@ -716,13 +713,15 @@ def _parse_atom(t: _Tokens) -> DExpr:
             return PairExpr(first, second)
         t.take(")")
         return first
-    if tok == "{":
+    if tok[0] == "{":
+        if len(tok) > 1:
+            return _flat_set(tok, t)
         items: list[DExpr] = []
         if t.peek() != "}":
-            items.append(_parse_item(t))
+            items.append(_parse_sum(t))
             while t.peek() == ",":
                 t.at += 1
-                items.append(_parse_item(t))
+                items.append(_parse_sum(t))
         t.take("}")
         return SetDisplay(tuple(items))
     if tok[0].isalpha():
@@ -764,9 +763,7 @@ def _parse_field(t: _Tokens) -> DExpr:
     return first
 
 
-def _read_field(
-    field: str, shared: Optional[dict[tuple[str, ...], Datum]] = None
-) -> DExpr:
+def _read_field(field: str, shared: Optional[_Shared] = None) -> DExpr:
     """One whole border field of a library rule or a scenario cell."""
     t = _Tokens(field, shared)
     e = _parse_field(t)
@@ -886,14 +883,15 @@ def parse_scenario(text: str) -> DataScenario:
     """Cell and wire lines; borders must be concrete data.
 
     Each line is matched whole, and only its border fields go through
-    the expression grammar. Equal fields (as text, blanks trimmed) and
-    equal set items are parsed once and shared between the cells that
-    carry them.
+    the expression grammar. Equal fields (as text, blanks trimmed) are
+    parsed once and shared between the cells that carry them. Set items
+    are looked up by their text, parsed once per distinct text, and
+    interned by value, so equal items are one object throughout.
     """
     cells: list[tuple[int, int, DataCell]] = []
     wires: list[tuple[Pos, Pos]] = []
     fields: dict[str, Datum] = {}
-    items: dict[tuple[str, ...], Datum] = {}
+    items: _Shared = ({}, {})
 
     def datum(field: str) -> Datum:
         field = field.strip()

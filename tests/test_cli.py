@@ -1,5 +1,6 @@
 """Command-line verbs, exit codes, output determinism."""
 
+import gc
 import hashlib
 import io
 import itertools
@@ -8,6 +9,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -650,6 +652,21 @@ class TestValidate:
             assert capsys.readouterr().err.startswith("error: bad scenario"), bad[:40]
 
 
+    @pytest.mark.parametrize(
+        "bad", ["{a,}", "{,a}", "{a,,b}", "{(1,a) b}", "{(1,a}", "{a^}", "{min}"]
+    )
+    def test_malformed_set_is_a_usage_error(self, tmp_path, bad):
+        path = tmp_path / "bad.imod"
+        # The first line fills the item table before the bad set is read.
+        path.write_text(
+            f"cell (0,0) 0: <{{a}} | _> -> <_ | _>\ncell (1,0) 0: <{bad} | _> -> <_ | _>\n"
+        )
+        validate = ("validate", "--modules", "protocol", "--scenario", str(path))
+        res = python("-m", "gridlang.cli", *validate)
+        assert (res.returncode, res.stdout) == (2, "")
+        assert res.stderr.startswith("error: bad scenario")
+        assert "Traceback" not in res.stderr
+
     def test_a_template_nesting_a_stream_does_not_apply(self, tmp_path):
         # x binds a^b, so the template x^x would put a stream in a stream.
         scenario = tmp_path / "scenario.imod"
@@ -692,6 +709,62 @@ class TestValidate:
         code, text = go("validate", "--modules", str(lib), "--scenario", str(path))
         assert (code, text) == (2, "")
         assert "already feeds (1, 1)" in capsys.readouterr().err
+
+
+class TestCollector:
+    """run pauses the cyclic collector for one command and puts it back."""
+
+    COMMANDS = {
+        "exit 0": (("validate", "--modules", "protocol"), 0),
+        "budget": (("enum", "--sats", "F02ac.c", "--max-cells", "4", "--node-budget", "20"), 1),
+        "usage": (("validate", "--modules", "protocol", "--node-budget", "1"), 2),
+        "bad flag": (("enum", "--no-such-flag"), 2),
+    }
+
+    @pytest.fixture(autouse=True)
+    def keep_collector(self):
+        was = gc.isenabled()
+        yield
+        (gc.enable if was else gc.disable)()
+
+    @pytest.mark.parametrize("label", COMMANDS)
+    def test_collector_is_restored(self, label):
+        argv, code = self.COMMANDS[label]
+        for before in (True, False):
+            (gc.enable if before else gc.disable)()
+            assert go(*argv)[0] == code
+            assert gc.isenabled() is before
+
+    def test_collector_is_off_during_a_command_and_after_an_error(self, monkeypatch):
+        seen = []
+
+        def fail(*args):
+            seen.append(gc.isenabled())
+            raise RuntimeError("escapes run")
+
+        monkeypatch.setattr("gridlang.cli.validate_scenario", fail)
+        gc.enable()
+        with pytest.raises(RuntimeError):
+            go("validate", "--modules", "protocol")
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_repeated_commands_stay_small(self):
+        # Each command leaves cycles behind (about 70 KB here); with the
+        # collector left off, 30 commands would keep about 2 MB of them.
+        gc.enable()
+        argv = ("validate", "--modules", "protocol")
+        for _ in range(3):
+            go(*argv)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for _ in range(30):
+                assert go(*argv)[0] == 0
+            grown = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert grown < 1 << 20, grown
 
 
 class TestProjectNfa:
