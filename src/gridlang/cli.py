@@ -160,21 +160,24 @@ def _pick_var(sys_: EquationSystem, target: str, var: Optional[str]) -> str:
 # Output emitters
 
 
-def _word_record(w: Word) -> dict:
-    return {"cells": [[r, c, ch] for r, c, ch in w.cells]}
+def _encode(obj) -> dict:
+    if isinstance(obj, Word):
+        return {"cells": obj.cells}
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _dump(obj) -> str:
-    return json.dumps(obj, separators=(",", ":"), sort_keys=True)
+    """The one records encoding: compact, sorted keys, a Word as its cells."""
+    return json.dumps(obj, separators=(",", ":"), sort_keys=True, default=_encode)
 
 
 def _emit_words(words, fmt: str, out: TextIO) -> None:
     """Write a word listing in sort order, one records line per word or
     the ASCII pictures separated by blank lines.
 
-    A records line is built from one JSON fragment per cell, encoded once
-    per distinct (row, col, letter) triple; it has the bytes
-    `_dump(_word_record(w))` gives, without a dict per word.
+    A records line is joined from the `_dump` of each cell, encoded once
+    per distinct (row, col, letter) triple; it has the bytes `_dump(w)`
+    gives, without encoding a word at a time.
     """
     ordered = sorted(words, key=word_sort_key)
     if fmt == "records":
@@ -184,7 +187,7 @@ def _emit_words(words, fmt: str, out: TextIO) -> None:
             for cell in w.cells:
                 frag = fragments.get(cell)
                 if frag is None:
-                    frag = fragments[cell] = json.dumps(cell, separators=(",", ":"))
+                    frag = fragments[cell] = _dump(cell)
                 parts.append(frag)
             out.write('{"cells":[' + ",".join(parts) + "]}\n")
     elif ordered:
@@ -233,13 +236,7 @@ def _cmd_solve(args: argparse.Namespace, out: TextIO) -> int:
         doc = {
             "iterations": sol.iterations,
             "saturated": sol.saturated,
-            "values": {
-                name: [
-                    _word_record(w)
-                    for w in sorted(sol.values[name], key=word_sort_key)
-                ]
-                for name in names
-            },
+            "values": {name: sorted(sol.values[name], key=word_sort_key) for name in names},
         }
         print(_dump(doc), file=out)
     else:
@@ -275,8 +272,8 @@ def _cmd_diff(args: argparse.Namespace, out: TextIO) -> int:
             "common": diff.common,
             "only_left_count": diff.only_left_count,
             "only_right_count": diff.only_right_count,
-            "only_left": [_word_record(w) for w in diff.only_left],
-            "only_right": [_word_record(w) for w in diff.only_right],
+            "only_left": diff.only_left,
+            "only_right": diff.only_right,
         }
         print(_dump(doc), file=out)
     else:
@@ -326,7 +323,7 @@ def _cmd_validate(args: argparse.Namespace, out: TextIO) -> int:
             "valid": report.valid,
             "cells_checked": len(report.cell_checks),
             "violations": [
-                {"kind": v.kind, "cells": [list(p) for p in v.cells], "message": v.message}
+                {"kind": v.kind, "cells": v.cells, "message": v.message}
                 for v in report.violations
             ],
         }
@@ -360,10 +357,10 @@ def _cmd_project_nfa(args: argparse.Namespace, out: TextIO) -> int:
     transitions = sorted(nfa.transitions)
     if args.format == "records":
         doc = {
-            "states": list(nfa.states),
+            "states": nfa.states,
             "initial": sorted(nfa.initial),
             "accepting": sorted(nfa.accepting),
-            "transitions": [list(t) for t in transitions],
+            "transitions": transitions,
         }
         print(_dump(doc), file=out)
     else:
@@ -445,12 +442,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once: argparse leaves each parser's objects in reference cycles.
+_PARSER = _build_parser()
+
+
 def run(argv: Sequence[str], out: Optional[TextIO] = None) -> int:
     """Parse and dispatch; returns the exit code instead of raising."""
     sink = out if out is not None else sys.stdout
-    parser = _build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = _PARSER.parse_args(list(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     # A command builds many long-lived containers and frees them at the
@@ -459,14 +459,22 @@ def run(argv: Sequence[str], out: Optional[TextIO] = None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return args.func(args, sink)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except BudgetExhausted as exc:
-        if exc.partial is not None:
-            _emit_words(exc.partial, args.format, sink)
-        print(_PARTIAL_MARKER, file=sink)
+        try:
+            code = args.func(args, sink)
+        except _CliError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = exc.code
+        except BudgetExhausted as exc:
+            if exc.partial is not None:
+                _emit_words(exc.partial, args.format, sink)
+            print(_PARTIAL_MARKER, file=sink)
+            code = 1
+        sink.flush()
+        return code
+    except BrokenPipeError:
+        # The reader left early. Point the sink at the null device, so that
+        # the flush at exit cannot fail again, and exit 1 without a word.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sink.fileno())
         return 1
     finally:
         if collecting:
@@ -474,15 +482,7 @@ def run(argv: Sequence[str], out: Optional[TextIO] = None) -> int:
 
 
 def main() -> None:
-    try:
-        code = run(sys.argv[1:])
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader left early. Point stdout at the null device, so that
-        # the flush at exit cannot fail again, and exit 1 without a word.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = 1
-    sys.exit(code)
+    sys.exit(run(sys.argv[1:]))
 
 
 if __name__ == "__main__":

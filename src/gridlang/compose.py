@@ -270,22 +270,8 @@ def _wrap(r: Restriction, grouped: tuple[type, ...]) -> str:
     return "(" + s + ")" if isinstance(r, grouped) else s
 
 
-def restriction_selectors(r: Restriction) -> list[Selector]:
-    """Every selector mentioned in the formula, left to right."""
-    if isinstance(r, Comparison):
-        return [r.left, r.right]
-    if isinstance(r, Not):
-        return restriction_selectors(r.item)
-    if isinstance(r, (And, Or)):
-        out: list[Selector] = []
-        for item in r.items:
-            out.extend(restriction_selectors(item))
-        return out
-    return []
-
-
 def uses_extremeness(r: Restriction) -> bool:
-    return any(sel.filter != FILTER_ANY for sel in restriction_selectors(r))
+    return any(sel.filter != FILTER_ANY for sels in _Plan(r).sels for sel in sels)
 
 
 # ---------------------------------------------------------------------------

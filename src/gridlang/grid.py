@@ -186,13 +186,6 @@ _TOUCHED = {
 }
 
 
-def _inside_cells(occ: frozenset[Pos], kind: str, pr: int, pc: int) -> frozenset[Pos]:
-    """The occupied cells among those an element of `kind` at (pr, pc) touches."""
-    return frozenset(
-        (pr + dr, pc + dc) for dr, dc in _TOUCHED[kind] if (pr + dr, pc + dc) in occ
-    )
-
-
 _AROUND8 = tuple(
     (dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1) if (dr, dc) != (0, 0)
 )
@@ -472,15 +465,6 @@ def contour(w: Word) -> frozenset[Element]:
 def extreme_cells(w: Word) -> frozenset[Pos]:
     """Cells with at most one occupied cell among their 8 neighbours."""
     return w.extreme_cells
-
-
-def element_inside_cells(w: Word, el: Element) -> frozenset[Pos]:
-    """The occupied cells an element touches; extremeness filters use these.
-
-    A side touches the two cells of its edge, a corner the four cells
-    around its point.
-    """
-    return _inside_cells(w.positions, el.kind, el.row, el.col)
 
 
 def select(w: Word, sel: Selector) -> frozenset[Element]:

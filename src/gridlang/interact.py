@@ -852,16 +852,18 @@ def format_dexpr(e: DExpr) -> str:
     return f"{format_dexpr(e.left)}{e.op}{right}"
 
 
+def _format_borders(x: Union[Rule, DataCell]) -> str:
+    """The four border fields as `_BORDERS` reads them back."""
+    w, n, e, s = map(format_dexpr, (x.west, x.north, x.east, x.south))
+    return f"<{w} | {n}> -> <{e} | {s}>"
+
+
 def format_module_library(lib: Iterable[DataModule]) -> str:
     lines = []
     for m in lib:
         tag = " reconstructed" if m.reconstructed else ""
         for rule in m.rules:
-            head = (
-                f"module {m.name}{tag}:"
-                f" <{format_dexpr(rule.west)} | {format_dexpr(rule.north)}>"
-                f" -> <{format_dexpr(rule.east)} | {format_dexpr(rule.south)}>"
-            )
+            head = f"module {m.name}{tag}: {_format_borders(rule)}"
             if rule.guards:
                 conds = ", ".join(
                     f"{format_dexpr(g.left)} {g.op} {format_dexpr(g.right)}"
@@ -917,11 +919,7 @@ def parse_scenario(text: str) -> DataScenario:
 def format_scenario(s: DataScenario) -> str:
     lines = []
     for r, c, cell in s.cells:
-        lines.append(
-            f"cell ({r},{c}) {cell.module}:"
-            f" <{format_dexpr(cell.west)} | {format_dexpr(cell.north)}>"
-            f" -> <{format_dexpr(cell.east)} | {format_dexpr(cell.south)}>"
-        )
+        lines.append(f"cell ({r},{c}) {cell.module}: {_format_borders(cell)}")
     for (r, c), (r2, c2) in s.wiring:
         lines.append(f"wire ({r},{c}).e -> ({r2},{c2}).w")
     return "\n".join(lines) + "\n"

@@ -103,25 +103,32 @@ class TileSystem:
         return {k: tuple(v) for k, v in out.items()}
 
     @cached_property
-    def placements(
-        self,
-    ) -> dict[str, dict[tuple, tuple[tuple[str, Optional[str]], ...]]]:
-        """Per letter: (west, north, last row, last column) -> (south, east) outcomes.
+    def placements(self) -> dict[Optional[str], dict[tuple, tuple[tuple, ...]]]:
+        """Per letter or None (empty): (west, north, last row, last column) -> (south, east).
 
         A west or north of None stands for an empty neighbour, so the
         tile's border there must be admissible. On the last row or column
         the south or east border faces outside and must be admissible
         too, and the outgoing east is None because the next cell starts
-        a new row. Keys without outcomes are left out.
+        a new row. An empty cell has the one outcome (None, None) where
+        the borders facing it are admissible. Keys without outcomes are
+        left out.
         """
         ext_w, ext_n = self.external_west, self.external_north
         ext_e, ext_s = self.external_east, self.external_south
         wests = [None, *sorted({t.east for t in self.tiles})]
         norths = [None, *sorted({t.south for t in self.tiles})]
-        out: dict[str, dict[tuple, tuple[tuple[str, Optional[str]], ...]]] = {}
+        keys = list(itertools.product(wests, norths, (False, True), (False, True)))
+        out: dict[Optional[str], dict] = {
+            None: {
+                key: ((None, None),)
+                for key in keys
+                if (key[0] is None or key[0] in ext_e) and (key[1] is None or key[1] in ext_s)
+            }
+        }
         for letter, group in self.tiles_by_letter.items():
             table = out[letter] = {}
-            for key in itertools.product(wests, norths, (False, True), (False, True)):
+            for key in keys:
                 west, north, last_row, last_col = key
                 outcomes = {
                     (t.south, None if last_col else t.east)
@@ -297,14 +304,6 @@ def _step(
 ) -> Frontier:
     """Profiles reachable after `choice` (a letter, or None for empty) at column c."""
     out = set()
-    if choice is None:
-        # Borders facing an empty cell are external.
-        ext_e, ext_s = f.external_east, f.external_south
-        for fronts, east in frontier:
-            south = fronts[c]
-            if (east is None or east in ext_e) and (south is None or south in ext_s):
-                out.add((fronts[:c] + (None,) + fronts[c + 1 :], None))
-        return frozenset(out)
     table = f.placements.get(choice, {})
     for fronts, east in frontier:
         for south, east_out in table.get((east, fronts[c], last_row, last_col), ()):

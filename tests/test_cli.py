@@ -16,7 +16,7 @@ import pytest
 
 import gridlang
 from conftest import W, random_word
-from gridlang.cli import _dump, _emit_words, _word_record, run
+from gridlang.cli import _dump, _emit_words, run
 from gridlang.equations import corpus_text, solve
 from gridlang.expr import eval_expr, parse_expr, parse_system
 from gridlang.grid import Bounds, Budget, BudgetExhausted, Word, translate, word_sort_key
@@ -35,10 +35,8 @@ def go(*argv: str) -> tuple[int, str]:
 
 
 def dumped(words) -> str:
-    """A records listing built the long way, one dict per word."""
-    return "".join(
-        _dump(_word_record(w)) + "\n" for w in sorted(words, key=word_sort_key)
-    )
+    """A records listing built the long way, one `_dump` per word."""
+    return "".join(_dump(w) + "\n" for w in sorted(words, key=word_sort_key))
 
 
 def checkout_env() -> dict:
@@ -472,6 +470,26 @@ class TestBenchEntry:
         for layer in layers:
             assert calls.get(layer + ".calls", 0) >= 1, layer
 
+    @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+    def test_reader_closing_early_exits_1_without_a_word(self, traced, tmp_path):
+        # The same exit as `python -m gridlang.cli`: run itself, not only
+        # main, turns the closed pipe into exit 1.
+        trace = tmp_path / "trace.json"
+        entry = [str(ROOT / "perfbench" / "entry.py")]
+        if traced:
+            entry += ["--trace-to", str(trace)]
+        proc = subprocess.Popen(
+            [sys.executable, "-I", *entry, "solve", "--file", str(CORPUS / "mutual.t2d"),
+             "--var", "U", "--max-rows", "9", "--max-cols", "9", "--max-cells", "12",
+             "--format", "records"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=120), err) == (1, b"")
+        if traced:
+            assert json.loads(trace.read_text())["cli.run.calls"] == 1
 
     def test_tracer_finds_every_name_it_wraps(self):
         # The tracer replaces module attributes by name; one that a refactor
@@ -749,9 +767,18 @@ class TestCollector:
         assert seen == [False]
         assert gc.isenabled()
 
+    def test_commands_leave_no_cycles(self):
+        # The parser is built once per process, so a command leaves nothing
+        # that only the cyclic collector could free. Building it per call
+        # left 4,680 objects in cycles after these 10 commands.
+        gc.disable()
+        gc.collect()
+        for _ in range(10):
+            assert go("validate", "--modules", "protocol")[0] == 0
+        assert gc.collect() == 0
+
     def test_repeated_commands_stay_small(self):
-        # Each command leaves cycles behind (about 70 KB here); with the
-        # collector left off, 30 commands would keep about 2 MB of them.
+        # Memory stays bounded over many commands in one process.
         gc.enable()
         argv = ("validate", "--modules", "protocol")
         for _ in range(3):
@@ -783,6 +810,71 @@ class TestProjectNfa:
         # Tile digit 0 carries the same label on west and east.
         code, _ = go("project-nfa", "--sats", "F0.0")
         assert code == 1
+
+
+class TestRecordsDocuments:
+    """Every records document comes from `_dump`; its bytes are pinned."""
+
+    F02AC_5X5X8 = ("--system", "f02ac", "--max-rows", "5", "--max-cols", "5", "--max-cells", "8")
+
+    @pytest.mark.parametrize(
+        "argv, code, digest",
+        [
+            (
+                ("solve", *F02AC_5X5X8),
+                0,
+                "6cb26f5df83a772ae571a436f98fc6af20eca914e47d9da00a13188b3dfda68c",
+            ),
+            (
+                ("solve", *F02AC_5X5X8, "--node-budget", "200"),
+                1,
+                "e703f382482d940ee4dacad8183bc4c561b4c9deb1c910399665bb94c47e0b8f",
+            ),
+            (
+                (
+                    "diff", "--sats", "F02ac.c", "--system", "f02ac", "--var", "X11",
+                    "--max-rows", "6", "--max-cols", "6", "--max-cells", "12",
+                ),
+                1,
+                "7dfa9dd07fcdaa911a8c4b99c4949f32ed6d712b42029777df31d09b39ad12e2",
+            ),
+            (
+                ("validate", "--modules", "protocol", "--execute"),
+                0,
+                "4588c3b4cc6483c651773abbfbf3e39f62fb0ecaadad5e67d4b6f22d6a2d0d1f",
+            ),
+            (
+                ("project-nfa", "--sats", "F8c.c"),
+                0,
+                "11d16fd1afbac06195076efd58fcfa4fe54c4950f4c7a5c8ac8c1d447aae7a23",
+            ),
+        ],
+        ids=["solve", "solve-stopped", "diff", "validate", "project-nfa"],
+    )
+    def test_document_bytes_are_pinned(self, argv, code, digest):
+        got, text = go(*argv, "--format", "records")
+        assert got == code
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_violations_document_bytes_are_pinned(self, tmp_path):
+        _, scenario = builtin_protocol()
+        path = tmp_path / "bad.imod"
+        path.write_text(format_scenario(scenario).replace(
+            "<a | (0,{})> -> <(1,a) |", "<a | (0,{})> -> <(9,a) |"
+        ))
+        code, text = go(
+            "validate", "--modules", "protocol", "--scenario", str(path), "--execute",
+            "--format", "records",
+        )
+        assert code == 1
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "9e63a0659edd09545fb466b0b78afa23cc9c4e4da264c3c008e32345acbdd7ec"
+        )
+
+    def test_only_words_are_encoded_beyond_json(self):
+        assert _dump({"w": W("ab")}) == '{"w":{"cells":[[0,0,"a"],[0,1,"b"]]}}'
+        with pytest.raises(TypeError, match="frozenset is not JSON serializable"):
+            _dump(frozenset())
 
 
 class TestDeterminism:

@@ -13,7 +13,6 @@ from gridlang.grid import (
     Selector,
     Word,
     contour,
-    element_inside_cells,
     extreme_cells,
     hv_components,
     normalize,
@@ -335,13 +334,6 @@ class TestSelect:
         w = W("a.", "aa")
         assert select(w, Selector("sw'", "extreme")) == frozenset()
         assert select(w, Selector("sw'", "nonextreme")) == els(("sw'", 1, 1))
-
-    def test_inside_cells_of_sides(self):
-        w = W("ab")
-        assert element_inside_cells(w, Element("w", 0, 0)) == frozenset({(0, 0)})
-        assert element_inside_cells(w, Element("e", 0, 2)) == frozenset({(0, 1)})
-        assert element_inside_cells(w, Element("n", 0, 1)) == frozenset({(0, 1)})
-        assert element_inside_cells(w, Element("s", 1, 0)) == frozenset({(0, 0)})
 
     def test_bad_selector_rejected(self):
         with pytest.raises(ValueError):
