@@ -17,17 +17,22 @@ row-major rendering), byte-identical for identical inputs.
 
 Every verb runs in one process. Each still accepts --jobs N and ignores
 it, so existing command lines keep working.
+
+A process pays only for the verb it runs: importing this module loads
+argparse and `grid`, a verb imports the modules it calls on first use,
+and the parser adds arguments only for the verb named on the command
+line.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
-import json
 import os
 import sys
-from typing import Optional, Sequence, TextIO
+from typing import TYPE_CHECKING, Optional, Sequence, TextIO
 
+from . import _exports, _lazy
 from .grid import (
     Bounds,
     Budget,
@@ -37,26 +42,23 @@ from .grid import (
     render_ascii,
     word_sort_key,
 )
-from .expr import EquationSystem, ParseError, eval_expr, parse_expr, parse_system
-from .equations import solve
-from .interact import (
-    builtin_protocol,
-    builtin_protocol_library,
-    complete_scenario,
-    format_report,
-    parse_module_library,
-    parse_scenario,
-    validate_scenario,
-)
-from .tiling import (
-    TileSystem,
-    diff_against_language,
-    enumerate_language,
-    format_language_diff,
-    parse_tile_system,
-    parse_two_color,
-    project_to_nfa,
-)
+
+if TYPE_CHECKING:
+    from .expr import EquationSystem
+    from .tiling import TileSystem
+
+# The library names the verbs call, imported on first lookup. Verbs look
+# them up on this module (`_cli`) at each call, so that a value set over
+# one, by a tracer or a test, is the one called.
+__getattr__ = _lazy(globals(), _exports(
+    expr="ParseError eval_expr parse_expr parse_system",
+    equations="solve",
+    interact="builtin_protocol builtin_protocol_library complete_scenario format_report"
+    " parse_module_library parse_scenario validate_scenario",
+    tiling="diff_against_language enumerate_language format_language_diff parse_tile_system"
+    " parse_two_color project_to_nfa",
+))
+_cli = sys.modules[__name__]
 
 _PARTIAL_MARKER = "partial: node budget exhausted"
 
@@ -77,13 +79,6 @@ def _domain(message: str) -> _CliError:
 
 # ---------------------------------------------------------------------------
 # Argument plumbing
-
-
-def _add_bounds(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-rows", type=int, default=None)
-    p.add_argument("--max-cols", type=int, default=None)
-    p.add_argument("--max-cells", type=int, default=None)
-    p.add_argument("--node-budget", type=int, default=None)
 
 
 def _resolve_bounds(args: argparse.Namespace) -> Bounds:
@@ -124,9 +119,9 @@ def _read(path: str, what: str, parse):
 
 def _load_sats(value: str) -> TileSystem:
     if os.path.exists(value):
-        return _read(value, "tile system", parse_tile_system)
+        return _read(value, "tile system", _cli.parse_tile_system)
     try:
-        return parse_two_color(value)
+        return _cli.parse_two_color(value)
     except ValueError as exc:
         raise _usage(f"bad tile system {value!r}: {exc}")
 
@@ -141,9 +136,9 @@ def _load_system(args: argparse.Namespace) -> tuple[EquationSystem, str]:
     if (system is None) == (path is None):
         raise _usage("give exactly one of --system or --file")
     if system is None:
-        sys_ = _read(path, "equation file", parse_system)
+        sys_ = _read(path, "equation file", _cli.parse_system)
     elif system in _BUILTIN_SYSTEMS:
-        sys_ = parse_system(corpus_text(f"{system}.t2d"))
+        sys_ = _cli.parse_system(corpus_text(f"{system}.t2d"))
     else:
         raise _usage(f"unknown --system {system!r}; builtins: {', '.join(_BUILTIN_SYSTEMS)}")
     return sys_, sys_.names[-1]
@@ -168,6 +163,8 @@ def _encode(obj) -> dict:
 
 def _dump(obj) -> str:
     """The one records encoding: compact, sorted keys, a Word as its cells."""
+    import json
+
     return json.dumps(obj, separators=(",", ":"), sort_keys=True, default=_encode)
 
 
@@ -202,25 +199,25 @@ def _cmd_enum(args: argparse.Namespace, out: TextIO) -> int:
     f = _load_sats(args.sats)
     bounds = _resolve_bounds(args)
     # Sorting the search order is faster than sorting the set.
-    _emit_words(enumerate_language(f, bounds).found, args.format, out)
+    _emit_words(_cli.enumerate_language(f, bounds).found, args.format, out)
     return 0
 
 
 def _cmd_eval(args: argparse.Namespace, out: TextIO) -> int:
     bounds = _resolve_bounds(args)
     try:
-        expr = parse_expr(args.expr)
-    except ParseError as exc:
+        expr = _cli.parse_expr(args.expr)
+    except _cli.ParseError as exc:
         raise _usage(f"bad expression: {exc}")
     env = {}
     if args.system is not None or args.file is not None:
         sys_, _ = _load_system(args)
-        sol = solve(sys_, bounds)
+        sol = _cli.solve(sys_, bounds)
         if not sol.saturated:
             raise BudgetExhausted("node budget exhausted")
         env = sol.values
     try:
-        words = eval_expr(expr, env, bounds, Budget(bounds.node_budget))
+        words = _cli.eval_expr(expr, env, bounds, Budget(bounds.node_budget))
     except ValueError as exc:
         raise _usage(str(exc))
     _emit_words(words, args.format, out)
@@ -230,7 +227,7 @@ def _cmd_eval(args: argparse.Namespace, out: TextIO) -> int:
 def _cmd_solve(args: argparse.Namespace, out: TextIO) -> int:
     sys_, target = _load_system(args)
     bounds = _resolve_bounds(args)
-    sol = solve(sys_, bounds)
+    sol = _cli.solve(sys_, bounds)
     names = [_pick_var(sys_, target, args.var)] if args.var else list(sys_.names)
     if args.format == "records":
         doc = {
@@ -258,10 +255,10 @@ def _cmd_diff(args: argparse.Namespace, out: TextIO) -> int:
     var = _pick_var(sys_, target, args.var)
     if args.witnesses < 0:
         raise _usage(f"--witnesses must be a non-negative integer, got {args.witnesses}")
-    sol = solve(sys_, bounds)
+    sol = _cli.solve(sys_, bounds)
     if not sol.saturated:
         raise BudgetExhausted("node budget exhausted")
-    diff = diff_against_language(
+    diff = _cli.diff_against_language(
         f, bounds, sol.values[var], max_witnesses=args.witnesses
     )
     if args.format == "records":
@@ -277,20 +274,20 @@ def _cmd_diff(args: argparse.Namespace, out: TextIO) -> int:
         }
         print(_dump(doc), file=out)
     else:
-        out.write(format_language_diff(diff, "solver", "tiles"))
+        out.write(_cli.format_language_diff(diff, "solver", "tiles"))
     return 0 if diff.equal else 1
 
 
 def _load_protocol(args: argparse.Namespace):
     if args.modules == "protocol":
         if args.scenario is None:
-            return builtin_protocol()
-        lib = builtin_protocol_library()
+            return _cli.builtin_protocol()
+        lib = _cli.builtin_protocol_library()
     else:
-        lib = _read(args.modules, "module library", parse_module_library)
+        lib = _read(args.modules, "module library", _cli.parse_module_library)
         if args.scenario is None:
             raise _usage("--scenario is required with a module library file")
-    return lib, _read(args.scenario, "scenario", parse_scenario)
+    return lib, _read(args.scenario, "scenario", _cli.parse_scenario)
 
 
 def _cmd_validate(args: argparse.Namespace, out: TextIO) -> int:
@@ -301,7 +298,7 @@ def _cmd_validate(args: argparse.Namespace, out: TextIO) -> int:
         raise _usage(f"node_budget must be a positive integer, got {budget!r}")
     lib, scenario = _load_protocol(args)
     try:
-        report = validate_scenario(scenario, lib)
+        report = _cli.validate_scenario(scenario, lib)
     except ValueError as exc:
         raise _domain(str(exc))
     completed = True
@@ -311,7 +308,7 @@ def _cmd_validate(args: argparse.Namespace, out: TextIO) -> int:
         layout = {pos: cell.module for pos, cell in cmap.items()}
         west = {pos: cell.west for pos, cell in cmap.items()}
         north = {pos: cell.north for pos, cell in cmap.items()}
-        redo = complete_scenario(
+        redo = _cli.complete_scenario(
             lib, layout, west, north, scenario.wiring, node_budget=budget
         )
         completed = redo is not None
@@ -331,7 +328,7 @@ def _cmd_validate(args: argparse.Namespace, out: TextIO) -> int:
             doc["completion_found"] = completed
         print(_dump(doc), file=out)
     else:
-        out.write(format_report(report))
+        out.write(_cli.format_report(report))
         if execution_line is not None:
             print(execution_line, file=out)
     return 0 if report.valid and completed else 1
@@ -340,7 +337,7 @@ def _cmd_validate(args: argparse.Namespace, out: TextIO) -> int:
 def _cmd_render(args: argparse.Namespace, out: TextIO) -> int:
     sys_, target = _load_system(args)
     bounds = _resolve_bounds(args)
-    sol = solve(sys_, bounds)
+    sol = _cli.solve(sys_, bounds)
     var = _pick_var(sys_, target, args.var)
     if not sol.saturated:
         raise BudgetExhausted("node budget exhausted", partial=sol.values[var])
@@ -351,7 +348,7 @@ def _cmd_render(args: argparse.Namespace, out: TextIO) -> int:
 def _cmd_project_nfa(args: argparse.Namespace, out: TextIO) -> int:
     f = _load_sats(args.sats)
     try:
-        nfa = project_to_nfa(f)
+        nfa = _cli.project_to_nfa(f)
     except ValueError as exc:
         raise _domain(str(exc))
     transitions = sorted(nfa.transitions)
@@ -376,81 +373,92 @@ def _cmd_project_nfa(args: argparse.Namespace, out: TextIO) -> int:
 # Parser and entry points
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_BOUNDS = [
+    (f"--{bound}", {"type": int})
+    for bound in ("max-rows", "max-cols", "max-cells", "node-budget")
+]
+_SYSTEM = [("--system", {}), ("--file", {})]
+_SATS = ("--sats", {"required": True})
+_VAR = ("--var", {})
+_OUTPUT = [
+    ("--format", {"choices": ("ascii", "records"), "default": "ascii"}),
+    ("--jobs", {"type": int, "default": 1, "help": "accepted and ignored"}),
+]
+
+# Each verb's help line, command and arguments, in help order; every verb
+# then takes the `_OUTPUT` arguments.
+_VERBS = {
+    "enum": ("list a tile-system language within bounds", _cmd_enum, [
+        ("--sats", {"required": True, "help": "two-color notation or a .sats file"}),
+        *_BOUNDS,
+    ]),
+    "eval": ("evaluate an expression within bounds", _cmd_eval, [
+        ("--expr", {"required": True}), *_SYSTEM, *_BOUNDS,
+    ]),
+    "solve": ("solve an equation system within bounds", _cmd_solve, [
+        ("--system", {"help": "|".join(_BUILTIN_SYSTEMS)}), ("--file", {}), _VAR, *_BOUNDS,
+    ]),
+    "diff": ("cross-check a solved variable against tiles", _cmd_diff, [
+        _SATS, *_SYSTEM, _VAR, ("--witnesses", {"type": int, "default": 10}), *_BOUNDS,
+    ]),
+    "validate": ("validate a data scenario", _cmd_validate, [
+        ("--modules", {"required": True, "help": "'protocol' or a library file"}),
+        ("--scenario", {}),
+        ("--execute", {"action": "store_true", "help": "also search for a completion"}),
+        ("--node-budget", {"type": int, "help": "bounds --execute's search"}),
+    ]),
+    "render": ("draw every word of a solved variable", _cmd_render, [
+        *_SYSTEM, _VAR, *_BOUNDS,
+    ]),
+    "project-nfa": ("project a vertical-only system", _cmd_project_nfa, [_SATS]),
+}
+
+
+def _build_parser(verbs: Sequence[str] = tuple(_VERBS)) -> argparse.ArgumentParser:
+    """The parser with a subparser for every verb, so that usage and help
+    are whole, but with arguments only for the verbs in `verbs`."""
     parser = argparse.ArgumentParser(
         prog="gridlang",
         description="Workbench for languages of two-dimensional words.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def common(p: argparse.ArgumentParser, bounds: bool = True) -> None:
-        if bounds:
-            _add_bounds(p)
-        p.add_argument("--format", choices=("ascii", "records"), default="ascii")
-        p.add_argument("--jobs", type=int, default=1, help="accepted and ignored")
-
-    p = sub.add_parser("enum", help="list a tile-system language within bounds")
-    p.add_argument("--sats", required=True, help="two-color notation or a .sats file")
-    common(p)
-    p.set_defaults(func=_cmd_enum)
-
-    p = sub.add_parser("eval", help="evaluate an expression within bounds")
-    p.add_argument("--expr", required=True)
-    p.add_argument("--system", default=None)
-    p.add_argument("--file", default=None)
-    common(p)
-    p.set_defaults(func=_cmd_eval)
-
-    p = sub.add_parser("solve", help="solve an equation system within bounds")
-    p.add_argument("--system", default=None, help="|".join(_BUILTIN_SYSTEMS))
-    p.add_argument("--file", default=None)
-    p.add_argument("--var", default=None)
-    common(p)
-    p.set_defaults(func=_cmd_solve)
-
-    p = sub.add_parser("diff", help="cross-check a solved variable against tiles")
-    p.add_argument("--sats", required=True)
-    p.add_argument("--system", default=None)
-    p.add_argument("--file", default=None)
-    p.add_argument("--var", default=None)
-    p.add_argument("--witnesses", type=int, default=10)
-    common(p)
-    p.set_defaults(func=_cmd_diff)
-
-    p = sub.add_parser("validate", help="validate a data scenario")
-    p.add_argument("--modules", required=True, help="'protocol' or a library file")
-    p.add_argument("--scenario", default=None)
-    p.add_argument("--execute", action="store_true", help="also search for a completion")
-    p.add_argument(
-        "--node-budget", type=int, default=None, help="bounds --execute's search"
-    )
-    common(p, bounds=False)
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("render", help="draw every word of a solved variable")
-    p.add_argument("--system", default=None)
-    p.add_argument("--file", default=None)
-    p.add_argument("--var", default=None)
-    common(p)
-    p.set_defaults(func=_cmd_render)
-
-    p = sub.add_parser("project-nfa", help="project a vertical-only system")
-    p.add_argument("--sats", required=True)
-    common(p, bounds=False)
-    p.set_defaults(func=_cmd_project_nfa)
-
+    for verb, (help_, func, arguments) in _VERBS.items():
+        p = sub.add_parser(verb, help=help_)
+        if verb in verbs:
+            for flag, options in arguments + _OUTPUT:
+                p.add_argument(flag, **options)
+            p.set_defaults(func=func)
     return parser
 
 
-# Built once: argparse leaves each parser's objects in reference cycles.
-_PARSER = _build_parser()
+# One parser per verb, built on first use and kept: argparse leaves each
+# parser's own objects in reference cycles.
+_PARSERS: dict = {}
+
+
+def _parser(argv: Sequence[str]) -> argparse.ArgumentParser:
+    """The parser for `argv`, with arguments for the verb it names first.
+
+    argparse dispatches on the first positional token, and no option
+    before it takes a value, so that token is the verb when it names one;
+    when it does not, parsing fails before any verb's arguments are read.
+    """
+    verb = next((a for a in argv if a in _VERBS), None)
+    parser = _PARSERS.get(verb)
+    if parser is None:
+        parser = _PARSERS[verb] = _build_parser(() if verb is None else (verb,))
+        # Building leaves argparse's spent help formatters in reference
+        # cycles: free them now, so that a command leaves none behind.
+        gc.collect(0)
+    return parser
 
 
 def run(argv: Sequence[str], out: Optional[TextIO] = None) -> int:
     """Parse and dispatch; returns the exit code instead of raising."""
     sink = out if out is not None else sys.stdout
     try:
-        args = _PARSER.parse_args(list(argv))
+        argv = list(argv)
+        args = _parser(argv).parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     # A command builds many long-lived containers and frees them at the

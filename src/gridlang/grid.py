@@ -63,7 +63,35 @@ def _frozen_delattr(self, name: str) -> None:
     raise FrozenRecordError(f"cannot delete field {name!r}")
 
 
-_RECORD_METHODS = ("__init__", "__eq__", "__hash__", "__repr__")
+def _record_method(m: str, names: tuple, post_init: bool):
+    """Compile the record method `m` over the fields `names`."""
+    fields = "".join(f"self.{n}," for n in names)
+    if m == "__init__":
+        lines = [f"def __init__(self, {', '.join(names)}):"]
+        lines += [f"    _set(self, {n!r}, {n})" for n in names]
+        if post_init:
+            lines.append("    self.__post_init__()")
+        if len(lines) == 1:
+            lines.append("    pass")
+    elif m == "__eq__":
+        other = "".join(f"other.{n}," for n in names)
+        lines = [
+            "def __eq__(self, other):",
+            "    if other.__class__ is self.__class__:",
+            f"        return ({fields}) == ({other})",
+            "    return NotImplemented",
+        ]
+    elif m == "__hash__":
+        lines = ["def __hash__(self):", f"    return hash(({fields}))"]
+    else:
+        shown = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
+        lines = [
+            "def __repr__(self):",
+            f"    return f'{{self.__class__.__qualname__}}({shown})'",
+        ]
+    made: dict = {}
+    exec("\n".join(lines), {"_set": object.__setattr__}, made)
+    return made[m]
 
 
 def record(cls: type) -> type:
@@ -80,52 +108,29 @@ def record(cls: type) -> type:
     deleting any attribute raises `FrozenRecordError`; `cached_property`
     still works, as it writes the instance `__dict__`.
 
-    A method the class defines itself is kept. The others are compiled
-    together, in one `exec`, the first time one of them is called, so a
-    process pays only for the classes it uses.
+    A method the class defines itself is kept. Each of the others is
+    compiled the first time it is called, so a process pays only for the
+    methods it uses.
     """
     names = tuple(cls.__annotations__)
     defaults = tuple(cls.__dict__[n] for n in names if n in cls.__dict__)
     if any(n not in cls.__dict__ for n in names[len(names) - len(defaults) :]):
         raise TypeError(f"{cls.__name__}: a field without a default follows one with")
-    missing = [m for m in _RECORD_METHODS if m not in cls.__dict__]
     post_init = hasattr(cls, "__post_init__")
-
-    def build() -> None:
-        fields = "".join(f"self.{n}," for n in names)
-        other = "".join(f"other.{n}," for n in names)
-        shown = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
-        lines = [f"def __init__(self, {', '.join(names)}):"]
-        lines += [f"    _set(self, {n!r}, {n})" for n in names]
-        if post_init:
-            lines.append("    self.__post_init__()")
-        if len(lines) == 1:
-            lines.append("    pass")
-        lines += [
-            "def __eq__(self, other):",
-            "    if other.__class__ is self.__class__:",
-            f"        return ({fields}) == ({other})",
-            "    return NotImplemented",
-            "def __hash__(self):",
-            f"    return hash(({fields}))",
-            "def __repr__(self):",
-            f"    return f'{{self.__class__.__qualname__}}({shown})'",
-        ]
-        made: dict = {}
-        exec("\n".join(lines), {"_set": object.__setattr__}, made)
-        made["__init__"].__defaults__ = defaults
-        for m in missing:
-            setattr(cls, m, made[m])
 
     def stub(m: str):
         def first_call(self, *args, **kwargs):
-            build()
-            return getattr(cls, m)(self, *args, **kwargs)
+            method = _record_method(m, names, post_init)
+            if m == "__init__":
+                method.__defaults__ = defaults
+            setattr(cls, m, method)
+            return method(self, *args, **kwargs)
 
         return first_call
 
-    for m in missing:
-        setattr(cls, m, stub(m))
+    for m in ("__init__", "__eq__", "__hash__", "__repr__"):
+        if m not in cls.__dict__:
+            setattr(cls, m, stub(m))
     cls.__setattr__ = _frozen_setattr
     cls.__delattr__ = _frozen_delattr
     return cls

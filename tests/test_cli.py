@@ -1,5 +1,8 @@
 """Command-line verbs, exit codes, output determinism."""
 
+import argparse
+import collections
+import contextlib
 import gc
 import hashlib
 import io
@@ -15,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import gridlang
+from gridlang import cli
 from conftest import W, random_word
 from gridlang.cli import _dump, _emit_words, run
 from gridlang.equations import corpus_text, solve
@@ -792,6 +796,90 @@ class TestCollector:
         finally:
             tracemalloc.stop()
         assert grown < 1 << 20, grown
+
+
+class TestParserPerVerb:
+    """The parser `run` uses adds arguments only for the verb named first;
+    on any argv it must act as the parser with every verb's arguments."""
+
+    VERBS = ["enum", "eval", "solve", "diff", "validate", "render", "project-nfa"]
+    UNKNOWN_VERBS = ["bogus", "Enum", "enu", "validate-", ""]
+    FLAGS = [
+        "--sats", "--expr", "--system", "--file", "--var", "--witnesses", "--modules",
+        "--scenario", "--execute", "--max-rows", "--max-cols", "--max-cells",
+        "--node-budget", "--format", "--jobs",
+    ]
+    UNKNOWN_FLAGS = ["--no-such-flag", "-x", "--form", "--max", "--", "-hx", "--jobs=2"]
+    HELP = ["--help", "-h", "--he"]
+    REQUIRED = {
+        "enum": ["--sats"], "eval": ["--expr"], "diff": ["--sats"], "validate": ["--modules"],
+        "project-nfa": ["--sats"],
+    }
+    VALUES = [
+        "F0f", "F02ac.c", "protocol", "squares", "X", "a*a", "records", "ascii", "0", "1",
+        "-1", "3", "99999999999999999999", "-99999999999999999999", "1.5", "x", "", "1e3",
+    ]
+
+    @staticmethod
+    def parse(parser, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                result = parser.parse_args(list(argv))
+            except SystemExit as exc:
+                result = exc.code
+        return result, out.getvalue(), err.getvalue()
+
+    def token(self, rng: random.Random) -> list:
+        pick = rng.random()
+        if pick < 0.6:
+            flag = rng.choice(self.FLAGS)
+            return [flag] if flag == "--execute" else [flag, rng.choice(self.VALUES)]
+        if pick < 0.75:
+            return [rng.choice(self.VALUES)]
+        if pick < 0.9:
+            return [rng.choice(self.UNKNOWN_FLAGS)]
+        if pick < 0.95:
+            return [rng.choice(self.HELP)]
+        return [rng.choice(self.VERBS + self.UNKNOWN_VERBS)]
+
+    def argvs(self, rng: random.Random, n: int):
+        """Half start with a verb and its required flags, then up to two
+        random tokens; half are random tokens with a verb, known or not,
+        anywhere or nowhere."""
+        for i in range(n):
+            if i % 2:
+                verb = rng.choice(self.VERBS)
+                argv = [verb]
+                for flag in self.REQUIRED.get(verb, ()):
+                    argv += [flag, rng.choice(self.VALUES)]
+                for _ in range(rng.randrange(3)):
+                    argv += self.token(rng)
+            else:
+                argv = [t for _ in range(rng.randrange(6)) for t in self.token(rng)]
+                verb = rng.choice(self.VERBS + self.UNKNOWN_VERBS + [None])
+                if verb is not None:
+                    argv.insert(rng.randrange(len(argv) + 1), verb)
+            yield argv
+
+    def test_acts_as_the_whole_parser(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        whole = cli._build_parser()
+        outcomes = collections.Counter()
+        for argv in self.argvs(random.Random(21), 500):
+            got = self.parse(cli._parser(argv), argv)
+            assert got == self.parse(whole, argv), argv
+            result, out, _ = got
+            outcomes["parsed" if isinstance(result, argparse.Namespace) else
+                     "help" if out else f"exit {result}"] += 1
+        # The sample reaches every kind of outcome, each many times.
+        assert set(outcomes) == {"parsed", "help", "exit 2"}
+        assert min(outcomes.values()) >= 20, outcomes
+
+    def test_builds_one_parser_per_verb(self):
+        argv = ["validate", "--modules", "protocol"]
+        assert cli._parser(argv) is cli._parser(argv[::-1])
+        assert cli._parser(argv) is not cli._parser(["enum"])
 
 
 class TestProjectNfa:

@@ -1,8 +1,12 @@
 """The record classes: construction, defaults, equality, hashing, repr,
 immutability and `__post_init__` checks, for every record in the package;
-and a start-up that imports no `dataclasses`."""
+a start-up that imports no `dataclasses` and only the modules a verb
+uses; and the package's names, which it imports on first lookup."""
 
 import copy
+import importlib
+import io
+import json
 import os
 import pickle
 import subprocess
@@ -11,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from gridlang import compose, equations, expr, grid, interact, tiling
+import gridlang
+from gridlang import cli, compose, equations, expr, grid, interact, tiling
 from gridlang.compose import Always, And, Comparison, Not, Or
 from gridlang.equations import Solution
 from gridlang.expr import Atom, Compose, EquationSystem, Star, Sum, Var
@@ -288,7 +293,8 @@ class TestStartUp:
     def test_import_leaves_out_dataclasses(self):
         res = fresh_python(
             "early = 'dataclasses' in sys.modules\n"
-            "import gridlang.cli\n"
+            "import gridlang.cli, gridlang.compose, gridlang.equations, gridlang.expr\n"
+            "import gridlang.grid, gridlang.interact, gridlang.tiling\n"
             "print(early, 'dataclasses' in sys.modules)\n"
         )
         assert res.returncode == 0, res.stderr
@@ -300,3 +306,157 @@ class TestStartUp:
     def test_help_prints_the_usage(self):
         res = fresh_python("from gridlang.cli import run\nsys.exit(run(['--help']))\n")
         assert (res.returncode, res.stdout, res.stderr) == (0, USAGE, "")
+
+    # argv, the modules it loads and those it leaves out ("json" and
+    # gridlang's own modules by their short names)
+    SPLIT = {
+        "help": (
+            ["--help"],
+            ("grid",),
+            ("tiling", "compose", "expr", "equations", "interact", "json"),
+        ),
+        "enum": (
+            ["enum", "--sats", "F0f", "--max-rows", "2", "--max-cols", "2", "--max-cells", "2",
+             "--format", "ascii"],
+            ("grid", "tiling"),
+            ("interact", "compose", "expr", "equations", "json"),
+        ),
+        "validate": (
+            ["validate", "--modules", "protocol"],
+            ("grid", "interact"),
+            ("tiling", "compose", "expr", "equations"),
+        ),
+        "solve": (
+            ["solve", "--system", "squares", "--max-cells", "9"],
+            ("grid", "compose", "expr", "equations"),
+            ("interact", "tiling"),
+        ),
+    }
+
+    @pytest.mark.parametrize("label", SPLIT)
+    def test_a_verb_loads_only_its_modules(self, label):
+        argv, loaded, left_out = self.SPLIT[label]
+        res = fresh_python(
+            "import io, json\n"
+            "def seen():\n"
+            "    return {m.removeprefix('gridlang.') for m in sys.modules\n"
+            "            if m.startswith('gridlang.') or m == 'json'}\n"
+            "early = seen()\n"
+            "from gridlang.cli import run\n"
+            f"code = run({argv!r}, io.StringIO())\n"
+            "print(json.dumps([code, sorted(early), sorted(seen())]))\n"
+        )
+        assert res.returncode == 0, res.stderr
+        code, early, late = json.loads(res.stdout.splitlines()[-1])
+        early, late = set(early), set(late)
+        assert code == 0
+        assert set(loaded) <= late
+        assert not (set(left_out) - set(early)) & late
+
+
+# The public names of the package, by defining module.
+EXPORTS = {
+    "grid": (
+        "Bounds", "Budget", "BudgetExhausted", "Element", "Selector", "Word", "contour",
+        "corpus_text", "extreme_cells", "hv_components", "normalize", "render_ascii",
+        "select", "translate", "word_sort_key",
+    ),
+    "compose": (
+        "Restriction", "compose_langs", "compose_words", "eval_restriction",
+        "format_restriction", "parse_restriction", "star",
+    ),
+    "tiling": (
+        "LanguageDiff", "Nfa", "Scenario", "Tile", "TileSystem", "accepting", "count_language",
+        "diff_against_language", "enumerate_language", "format_language_diff",
+        "format_tile_system", "parse_tile_system", "parse_two_color", "project_to_nfa",
+        "scenario_valid", "word_accepted",
+    ),
+    "expr": (
+        "EquationSystem", "Expr", "classify", "eval_expr", "format_expr", "format_system",
+        "parse_expr", "parse_system",
+    ),
+    "equations": ("Solution", "builtin_f02ac", "builtin_squares", "fixed_point_holds", "solve"),
+    "interact": (
+        "DataModule", "DataScenario", "ValidationReport", "builtin_protocol", "check_cell",
+        "complete_scenario", "format_report", "format_scenario", "parse_module_library",
+        "parse_scenario", "validate_scenario",
+    ),
+}
+PUBLIC = [(module, name) for module, names in EXPORTS.items() for name in names]
+
+# The library names the verbs call on `gridlang.cli`, by defining module,
+# each with a command that calls it.
+CORPUS = Path(grid.__file__).parent / "corpus"
+ENUM = ["enum", "--sats", "F0f", "--max-cells", "2"]
+SOLVE = ["solve", "--system", "squares", "--max-cells", "1"]
+EVAL = ["eval", "--expr", "a", "--max-cells", "1"]
+DIFF = ["diff", "--sats", "F0f", "--system", "squares", "--max-cells", "1"]
+VALIDATE = ["validate", "--modules", "protocol"]
+FILES = ["--modules", str(CORPUS / "protocol-modules.imod"),
+         "--scenario", str(CORPUS / "protocol-scenario.imod")]
+VERB_CALLS = {
+    ("expr", "parse_expr"): EVAL,
+    ("expr", "eval_expr"): EVAL,
+    ("expr", "parse_system"): SOLVE,
+    ("equations", "solve"): SOLVE,
+    ("interact", "builtin_protocol"): VALIDATE,
+    ("interact", "builtin_protocol_library"): [
+        "validate", "--modules", "protocol", *FILES[2:]
+    ],
+    ("interact", "parse_module_library"): ["validate", *FILES],
+    ("interact", "parse_scenario"): ["validate", *FILES],
+    ("interact", "validate_scenario"): VALIDATE,
+    ("interact", "complete_scenario"): [*VALIDATE, "--execute"],
+    ("interact", "format_report"): VALIDATE,
+    ("tiling", "enumerate_language"): ENUM,
+    ("tiling", "parse_two_color"): ENUM,
+    ("tiling", "parse_tile_system"): [
+        "enum", "--sats", str(CORPUS / "twocolor-example.sats"), "--max-cells", "1"
+    ],
+    ("tiling", "diff_against_language"): DIFF,
+    ("tiling", "format_language_diff"): DIFF,
+    ("tiling", "project_to_nfa"): ["project-nfa", "--sats", "F8c.c"],
+}
+
+
+class Called(Exception):
+    """Raised by a stand-in, to show that the verb called it."""
+
+
+class TestLazyNames:
+    def test_all_is_pinned(self):
+        assert gridlang.__all__ == sorted(name for _, name in PUBLIC)
+        assert len(gridlang.__all__) == 62
+
+    @pytest.mark.parametrize("module, name", PUBLIC)
+    def test_a_name_is_its_modules_object(self, module, name):
+        value = getattr(gridlang, name)
+        assert value is getattr(importlib.import_module(f"gridlang.{module}"), name)
+
+    def test_dir_covers_all(self):
+        assert set(gridlang.__all__) <= set(dir(gridlang))
+
+    def test_star_import_binds_every_name(self):
+        namespace: dict = {}
+        exec("from gridlang import *", namespace)
+        assert all(namespace[name] is getattr(gridlang, name) for name in gridlang.__all__)
+
+    @pytest.mark.parametrize("module", [gridlang, cli], ids=["gridlang", "cli"])
+    def test_an_unknown_name_raises_attribute_error(self, module):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            module.no_such_name
+        assert not hasattr(module, "ParseErrors")
+
+    @pytest.mark.parametrize("module, name", [*VERB_CALLS, ("expr", "ParseError")])
+    def test_a_verbs_name_is_on_cli(self, module, name):
+        defining = importlib.import_module(f"gridlang.{module}")
+        assert getattr(cli, name) is getattr(defining, name)
+
+    @pytest.mark.parametrize("module, name", VERB_CALLS)
+    def test_a_name_set_on_cli_is_the_one_called(self, module, name, monkeypatch):
+        def stand_in(*args, **kwargs):
+            raise Called(name)
+
+        monkeypatch.setattr(f"gridlang.cli.{name}", stand_in)
+        with pytest.raises(Called):
+            cli.run(VERB_CALLS[module, name], io.StringIO())
