@@ -19,12 +19,14 @@ and '#' needs a common element by definition.
 
 Composition places the second word at every integer offset where the
 two closed regions share at least one lattice point, cells stay
-disjoint, and the restriction holds. Each call compiles the restriction
-once into a plan: numbered selectors, the conjunction-spine comparisons,
-and one predicate over the two words' selections. Candidate offsets
-come from the spine, or else from contact. A spine '=' gives the one
-offset min(a) - min(b), exactly, as translation keeps the order of keys
-(axis, row, col); every candidate still meets the whole predicate.
+disjoint, and the restriction holds. Both words are bitboards of one
+frame as wide as the bounds, so an offset is one shift and each test is
+arithmetic on shifted masks: '=' is ==, '<' and '>' are & ~, '#' and
+overlap are &. Each call compiles the restriction into a plan: numbered
+selectors, the conjunction-spine comparisons, and one predicate over the
+masks. Candidate offsets come from the spine, or else from contact: a
+spine '=' gives the one offset low(x) - low(y) of the least bits, all
+'<' one AND of shifted masks, all '>' another, each '#' its offset set.
 Restricted iteration (star) closes a language under composing with it
 on the right, inside given bounds.
 
@@ -46,15 +48,13 @@ from .grid import (
     MAX_NESTING,
     Bounds,
     Budget,
-    Key,
     Selector,
     Word,
+    bits,
     normalize,
     record,
     select,  # unused here; perfbench/layers.py wraps `compose.select`
 )
-
-Offset = tuple[int, int]
 
 COMPARISON_OPS = ("=", "<", ">", "#")
 
@@ -271,112 +271,123 @@ def _wrap(r: Restriction, grouped: tuple[type, ...]) -> str:
 
 
 def uses_extremeness(r: Restriction) -> bool:
-    return any(sel.filter != FILTER_ANY for sels in _Plan(r).sels for sel in sels)
+    return any(sel.filter != FILTER_ANY for sels in _Plan(r, 0).sels for sel in sels)
 
 
 # ---------------------------------------------------------------------------
 # Plans
 
 
-class _Plan:
-    """A restriction compiled for one call: `sels` numbers the left and
-    the right selectors, `spine` holds the spine comparisons as (left
-    index, op, right index), '=' first, and `holds` is the predicate over
-    the two words' selection tuples and the right word's offset."""
+def _low(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
 
-    def __init__(self, r: Restriction) -> None:
+
+def _differences(x: int, y: int) -> set[int]:
+    """Every p - q for p a bit of x and q a bit of y."""
+    ys = bits(y)
+    return {p - q for p in bits(x) for q in ys}
+
+
+class _Plan:
+    """A restriction compiled for one frame `cols` columns wide (see
+    `Word.board`): `sels` numbers the left and the right selectors, the
+    spine comparisons are listed by operator as (left index, right index)
+    pairs, '>' ones reversed, and `holds` is the predicate over the two
+    words' masks, the left ones shifted by `sv` bits, the right by `sw`."""
+
+    def __init__(self, r: Restriction, cols: int) -> None:
+        self.cols, self.pad, self.stride = cols, cols + 2, 3 * cols + 6
         self.sels: tuple[list[Selector], list[Selector]] = ([], [])
-        self.spine: list[tuple[int, str, int]] = []
-        self.holds = self._compile(r, True)
-        self.spine.sort(key=lambda atom: atom[1] != "=")
+        self.spine: dict[str, list[tuple[int, int]]] = {op: [] for op in COMPARISON_OPS}
         # A spine '<', '>' or '#' never holds with an empty side.
-        self.needed = tuple({atom[k] for atom in self.spine if atom[1] != "="} for k in (0, 2))
+        self.needed: tuple[set[int], set[int]] = (set(), set())
+        self.holds = self._compile(r, True)
 
     def _compile(self, r: Restriction, on_spine: bool):
         if isinstance(r, Always):
-            return lambda a, b, dr, dc: True
+            return lambda a, b, sv, sw: True
         if isinstance(r, Not):
             item = self._compile(r.item, False)
-            return lambda a, b, dr, dc: not item(a, b, dr, dc)
+            return lambda a, b, sv, sw: not item(a, b, sv, sw)
         if isinstance(r, (And, Or)):
             join, spine = (all, on_spine) if isinstance(r, And) else (any, False)
             items = tuple(self._compile(item, spine) for item in r.items)
-            return lambda a, b, dr, dc: join(f(a, b, dr, dc) for f in items)
+            return lambda a, b, sv, sw: join(f(a, b, sv, sw) for f in items)
         if not isinstance(r, Comparison):
             raise TypeError(f"not a restriction: {r!r}")
         for sels, sel in zip(self.sels, (r.left, r.right)):
             if sel not in sels:
                 sels.append(sel)
         i, j = self.sels[0].index(r.left), self.sels[1].index(r.right)
+        if r.left.axis != r.right.axis:
+            # Elements on different axes never coincide: a constant.
+            return lambda a, b, sv, sw: r.op == "=" and not a[i] and not b[j]
         if on_spine:
-            self.spine.append((i, r.op, j))
-        # The right selection sits at offset (dr, dc); membership is tested
-        # by shifting single keys rather than translating whole sets.
+            self.spine[r.op].append((j, i) if r.op == ">" else (i, j))
+            if r.op != "=":
+                self.needed[0].add(i)
+                self.needed[1].add(j)
         if r.op == "=":
-            return lambda a, b, dr, dc: len(a[i]) == len(b[j]) and all(
-                (ax, row - dr, col - dc) in b[j] for ax, row, col in a[i]
-            )
+            return lambda a, b, sv, sw: a[i] << sv == b[j] << sw
         if r.op == "<":
-            return lambda a, b, dr, dc: bool(a[i]) and all(
-                (ax, row - dr, col - dc) in b[j] for ax, row, col in a[i]
-            )
+            return lambda a, b, sv, sw: a[i] != 0 and not a[i] << sv & ~(b[j] << sw)
         if r.op == ">":
-            return lambda a, b, dr, dc: bool(b[j]) and all(
-                (ax, row + dr, col + dc) in a[i] for ax, row, col in b[j]
-            )
-        return lambda a, b, dr, dc: any(
-            (ax, row + dr, col + dc) in a[i] for ax, row, col in b[j]
-        )
+            return lambda a, b, sv, sw: b[j] != 0 and not b[j] << sw & ~(a[i] << sv)
+        return lambda a, b, sv, sw: a[i] << sv & b[j] << sw != 0
 
-    def selections(self, w: Word, side: int) -> Optional[tuple[frozenset[Key], ...]]:
-        """The word's selections as operand `side` (0 left, 1 right), or
-        None when a spine comparison that needs one finds it empty."""
-        got = tuple(map(w.selection, self.sels[side]))
-        return None if any(not got[k] for k in self.needed[side]) else got
+    def selections(self, w: Word, side: int) -> Optional[tuple[int, ...]]:
+        """The masks of the word's selections as operand `side` (0 left,
+        1 right), then of its cells and of their corners; None when a
+        spine comparison that needs a selection finds it empty."""
+        got = [w.mask(sel, self.cols) for sel in self.sels[side]]
+        if not all(got[k] for k in self.needed[side]):
+            return None
+        _, occ, _, points = w.board(self.cols)
+        return (*got, occ, points)
 
-    def offsets(self, v: Word, a, w: Word, b) -> Iterable[Offset]:
-        """Offsets of w that every spine comparison allows, or, when none
-        gives information, those sharing a cell-corner lattice point with
-        v. A spine comparison that holds makes the placed contours share
-        an element, hence a lattice point: contact needs no own test."""
-        cands: Optional[set[Offset]] = None
-        for i, op, j in self.spine:
+    def offsets(self, a, b) -> Iterable[int]:
+        """Offsets s = dr * stride + dc of the right word's masks that every
+        spine comparison allows, or, when none gives information, those
+        where the two words' cell corners meet: a spine comparison that
+        holds makes the placed contours share a lattice point."""
+        eq, lt, gt, meet = self.spine.values()
+        for i, j in eq:
             x, y = a[i], b[j]
-            if op == "=":
-                if len(x) != len(y):
-                    return ()
-                if not x:
-                    continue  # two empty selections are equal anywhere
-                # Translation keeps the (axis, row, col) order, so equal
-                # sets line up their least keys.
-                (ax, r0, c0), (ay, r1, c1) = min(x), min(y)
-                offs = {(r0 - r1, c0 - c1)} if ax == ay else set()
-            elif op == "<":
-                ax0, r0, c0 = min(x)
-                offs = {(r0 - r, c0 - c) for ax, r, c in y if ax == ax0}
-            elif op == ">":
-                ax0, r0, c0 = min(y)
-                offs = {(r - r0, c - c0) for ax, r, c in x if ax == ax0}
-            else:
-                offs = {(ar - br, ac - bc) for ax, ar, ac in x for bx, br, bc in y if ax == bx}
-            cands = offs if cands is None else cands & offs
-            if len(cands) < 2:
-                break  # the predicate tests the rest of the spine
-        if cands is None:
-            points_w = _lattice_points(w)
-            return {(pr - qr, pc - qc) for pr, pc in _lattice_points(v) for qr, qc in points_w}
-        return cands
+            if x or y:  # two empty selections are equal anywhere
+                # Translation keeps the order of points: equal sets line up
+                # their least bits.
+                return (_low(x) - _low(y),) if x.bit_count() == y.bit_count() else ()
+        cands: Optional[set[int]] = None
+        for atoms, x, y, sign in ((lt, a, b, -1), (gt, b, a, 1)):
+            if atoms:  # each x[i] inside y[j]: '<', or '>' with sides swapped
+                # With the right word at offset s = sign * (q - low(x_1)), each
+                # low(x_k) lands on bit q + low(x_k) - low(x_1) of y_k.
+                (i, j), *rest = atoms
+                low, q = _low(x[i]), y[j]
+                for i, j in rest:
+                    d = _low(x[i]) - low
+                    q &= y[j] >> d if d >= 0 else y[j] << -d
+                offs = {sign * (k - low) for k in bits(q)}
+                cands = offs if cands is None else cands & offs
+        for i, j in meet:
+            x, y = a[i], b[j]
+            if cands is None:
+                cands = _differences(x, y)
+            else:  # keep the offsets where the two selections meet
+                cands = {s for s in cands if (x << -s & y if s < 0 else x & y << s)}
+        return _differences(a[-1], b[-1]) if cands is None else cands
 
     def place(self, v: Word, a, w: Word, b) -> Iterator[Word]:
         """Normalized joint placements of normalized v and w that keep
         cells disjoint and satisfy the restriction."""
-        occ_v = v.positions
-        for dr, dc in self.offsets(v, a, w, b):
-            if not self.holds(a, b, dr, dc):
-                continue
+        occ_v, occ_w = a[-2], b[-2]
+        for s in self.offsets(a, b):
+            sv, sw = (-s, 0) if s < 0 else (0, s)
+            if occ_v << sv & occ_w << sw or not self.holds(a, b, sv, sw):
+                continue  # overlap, or the restriction fails
+            dr, dc = divmod(s + self.pad, self.stride)
+            dc -= self.pad
             placed = [(pr + dr, pc + dc, letter) for pr, pc, letter in w.cells]
-            if any((pr, pc) in occ_v for pr, pc, _ in placed):
-                continue  # overlap
             # Both words start at row and column 0: shift the union there.
             sr, sc = max(-dr, 0), max(-dc, 0)
             cells = v.cells + tuple(placed) if sr == sc == 0 else [
@@ -385,15 +396,13 @@ class _Plan:
             yield Word._trusted(tuple(sorted(cells)))
 
 
-def _lattice_points(w: Word) -> set[Offset]:
-    return {(r + a, c + b) for r, c, _ in w.cells for a in (0, 1) for b in (0, 1)}
-
-
 def eval_restriction(r: Restriction, v: Word, w: Word) -> bool:
     """Evaluate with both words already placed in a common frame."""
-    plan = _Plan(r)
-    a, b = (tuple(map(u.selection, sels)) for u, sels in zip((v, w), plan.sels))
-    return plan.holds(a, b, 0, 0)
+    (r0, c0, _, c1), (r2, c2, _, c3) = v.bbox, w.bbox
+    plan = _Plan(r, max(c1, c3) - min(c0, c2) + 1)
+    a, b = (tuple(u.mask(sel, plan.cols) for sel in sels) for u, sels in zip((v, w), plan.sels))
+    s = (r2 - r0) * plan.stride + c2 - c0
+    return plan.holds(a, b, max(-s, 0), max(s, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +411,8 @@ def eval_restriction(r: Restriction, v: Word, w: Word) -> bool:
 
 def compose_words(v: Word, w: Word, r: Restriction) -> frozenset[Word]:
     """All normalized joint placements of v and w satisfying the restriction."""
-    v, w, plan = normalize(v), normalize(w), _Plan(r)
+    v, w = normalize(v), normalize(w)
+    plan = _Plan(r, max(v.width, w.width))
     a, b = plan.selections(v, 0), plan.selections(w, 1)
     if a is None or b is None:
         return frozenset()
@@ -419,28 +429,30 @@ def compose_langs(
     """Pointwise composition of two finite languages, filtered to bounds.
 
     Every pair is charged to `budget`, which raises BudgetExhausted once
-    it runs out. A pair whose cells together exceed `bounds.max_cells`
-    is not placed: placed cells are disjoint, so every result would have
-    that many cells and fail the bounds. A left word that fits beside
-    some right word fetches its selections once, a right word the first
-    time a pair needs them.
+    it runs out. A pair is placed, in the frame `bounds.max_cols` wide,
+    only when both words fit the bounds and their cells together do not
+    exceed `bounds.max_cells`: a placement holds both words' cells, so
+    it would fail the bounds too. A left word that fits beside some right
+    word fetches its masks once, a right word when a pair first needs them.
     """
-    plan = _Plan(r)
+    plan = _Plan(r, bounds.max_cols)
     right = sorted((normalize(w) for w in l2), key=len)
     sizes = [len(w) for w in right]
     fetched: list = [False] * len(right)  # False: not fetched yet
     out: set[Word] = set()
     for v in l1:
-        v = normalize(v)
         budget.charge(len(right))
         cut = bisect_right(sizes, bounds.max_cells - len(v))
-        a = plan.selections(v, 0) if cut else None
+        if not cut or not bounds.admits(v):
+            continue
+        v = normalize(v)
+        a = plan.selections(v, 0)
         if a is None:
             continue
         for k in range(cut):
             w, b = right[k], fetched[k]
             if b is False:
-                b = fetched[k] = plan.selections(w, 1)
+                b = fetched[k] = plan.selections(w, 1) if bounds.admits(w) else None
             if b is not None:
                 out.update(filter(bounds.admits, plan.place(v, a, w, b)))
     return frozenset(out)

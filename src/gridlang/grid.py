@@ -29,8 +29,9 @@ There are 12 kinds:
 An extreme cell has at most one occupied cell among the 8 positions
 around it. Selectors pick contour elements by kind with an optional
 extremeness filter applied to the elements' inside cells. A word keeps
-each selection it is asked for as a set of keys (axis, row, col), all
-computed from one occupancy bitboard of the word.
+its cells and each selection it is asked for as bitboard masks of a
+frame (`Word.board`), where composition compares them by shifting;
+`Word.selection` decodes a mask into keys (axis, row, col).
 
 The module also holds what every layer shares: the `record` class
 decorator, search budgets and bounds, the parsers' line reader and
@@ -196,14 +197,12 @@ _AROUND8 = tuple(
 )
 
 
-def _cells(mask: int, stride: int, top: int, left: int) -> list[Pos]:
-    """(top + row, left + col) of each set bit, bit i sitting at
-    divmod(i, stride)."""
+def bits(mask: int) -> list[int]:
+    """The indices of the set bits of a non-negative mask, lowest first."""
     out = []
     while mask:
         low = mask & -mask
-        r, c = divmod(low.bit_length() - 1, stride)
-        out.append((r + top, c + left))
+        out.append(low.bit_length() - 1)
         mask ^= low
     return out
 
@@ -243,6 +242,11 @@ class Selector:
             raise ValueError(f"unknown contour element kind {self.kind!r}")
         if self.filter not in FILTERS:
             raise ValueError(f"unknown extremeness filter {self.filter!r}")
+
+    @property
+    def axis(self) -> str:
+        """The axis class of the elements the selector picks."""
+        return _AXIS[self.kind]
 
     def __str__(self) -> str:
         if self.filter == FILTER_EXTREME:
@@ -303,7 +307,8 @@ class Word:
         Callers: `translate` (an integral shift), the tile search in
         `tiling` (cells and drawn rows joined row by row, so in row-major
         order), and `compose._Plan.place` (the sorted union of two valid
-        words its overlap test keeps apart, shifted to row and column 0).
+        words whose occupancy masks share no bit at the offset, shifted to
+        row and column 0).
         """
         w = object.__new__(cls)
         w.__dict__["cells"] = cells
@@ -350,22 +355,40 @@ class Word:
         return self.bbox[3] - self.bbox[1] + 1
 
     @cached_property
-    def _board(self) -> tuple[int, int, int, int, int]:
-        """The word as bitboards: (stride, top, left, occupancy, extreme
-        cells). Cell (r, c) and the lattice point (r, c) are both bit
-        (r - top) * stride + c - left. An empty row above and below and an
-        empty column either side keep one-cell shifts from wrapping.
+    def _kept(self) -> dict:
+        """What `board`, `mask` and `selection` computed, by argument."""
+        return {}
+
+    def board(self, cols: int) -> tuple[int, int, int, int]:
+        """The word as bitboards (stride, occupancy, extreme cells, corners
+        of its cells) in the frame of words at most `cols` wide.
+
+        With pad = cols + 2 and stride = 3 * pad, cell (r, c) and lattice
+        point (r, c) are bit (r - top + 1) * stride + c - left + pad, for
+        the word's least row top and column left. A shift by
+        dr * stride + dc with |dc| <= cols + 2 then moves every point by
+        (dr, dc): no column wraps into the next row.
         """
-        r0, c0, r1, c1 = self.bbox
-        stride, top, left = c1 - c0 + 3, r0 - 1, c0 - 1
-        occ = sum(1 << ((r - top) * stride + c - left) for r, c, _ in self.cells)
-        ones = twos = 0  # cells with at least one, and two, occupied neighbours
-        for dr, dc in _AROUND8:
-            step = dr * stride + dc  # bit i of nb is bit i + step of occ
-            nb = occ >> step if step > 0 else occ << -step
-            twos |= ones & nb
-            ones |= nb
-        return stride, top, left, occ, occ & ~twos
+        got = self._kept.get(cols)
+        if got is None:
+            r0, c0, _, _ = self.bbox
+            pad, stride = cols + 2, 3 * cols + 6
+            occ = sum(1 << ((r - r0 + 1) * stride + c - c0 + pad) for r, c, _ in self.cells)
+            ones = twos = 0  # cells with at least one, and two, occupied neighbours
+            for dr, dc in _AROUND8:
+                step = dr * stride + dc  # bit i of nb is bit i + step of occ
+                nb = occ >> step if step > 0 else occ << -step
+                twos |= ones & nb
+                ones |= nb
+            points = occ | occ << 1 | occ << stride | occ << stride + 1
+            got = self._kept[cols] = (stride, occ, occ & ~twos, points)
+        return got
+
+    def _decode(self, mask: int) -> list[Pos]:
+        """The positions of the bits of a mask of `board(self.width)`."""
+        r0, c0, _, _ = self.bbox
+        pad = self.width + 2
+        return [(r0 - 1 + i // (3 * pad), c0 - pad + i % (3 * pad)) for i in bits(mask)]
 
     @cached_property
     def contour(self) -> frozenset[Element]:
@@ -379,26 +402,22 @@ class Word:
     @cached_property
     def extreme_cells(self) -> frozenset[Pos]:
         """Cells with at most one occupied cell among their 8 neighbours."""
-        stride, top, left, _, xs = self._board
-        return frozenset(_cells(xs, stride, top, left))
+        return frozenset(self._decode(self.board(self.width)[2]))
 
-    @cached_property
-    def _selections(self) -> dict[Selector, frozenset[Key]]:
-        return {}
+    def mask(self, sel: Selector, cols: int) -> int:
+        """The lattice points of the contour elements `sel` picks, as a
+        mask of `board(cols)`, kept on the word once asked for.
 
-    def selection(self, sel: Selector) -> frozenset[Key]:
-        """Keys (axis, row, col) of the contour elements `sel` picks, kept
-        on the word once asked for.
-
-        The lattice points of a kind are the bitboard AND of its pattern's
-        occupied and empty cells, each shifted onto the point. With a
-        filter, an element is picked when all (extreme) or none
-        (nonextreme) of the occupied cells it touches are extreme, so the
-        points touching a bad cell are cleared.
+        The points of a kind are the AND of its pattern's occupied and
+        empty cells, each shifted onto the point. With a filter, an
+        element is picked when all (extreme) or none (nonextreme) of the
+        occupied cells it touches are extreme, so the points touching a
+        bad cell are cleared.
         """
-        keys = self._selections.get(sel)
-        if keys is None:
-            stride, top, left, occ, xs = self._board
+        key = (sel.kind, sel.filter, cols)  # hashes faster than sel
+        picked = self._kept.get(key)
+        if picked is None:
+            stride, occ, xs, _ = self.board(cols)
             inside, outside = _PATTERNS[sel.kind]
             # Pattern cells sit north or west of the point: shifts go up.
             picked = -1
@@ -410,9 +429,18 @@ class Word:
                 bad = occ & ~xs if sel.filter == FILTER_EXTREME else xs
                 for dr, dc in _TOUCHED[sel.kind]:
                     picked &= ~(bad << -dr * stride - dc)
-            axis = _AXIS[sel.kind]
-            keys = self._selections[sel] = frozenset(
-                [(axis, r, c) for r, c in _cells(picked, stride, top, left)]
+            self._kept[key] = picked
+        return picked
+
+    def selection(self, sel: Selector) -> frozenset[Key]:
+        """Keys (axis, row, col) of the contour elements `sel` picks, kept
+        on the word once asked for: the bits of its mask in the word's
+        own frame."""
+        keys = self._kept.get(sel)
+        if keys is None:
+            axis = sel.axis
+            keys = self._kept[sel] = frozenset(
+                [(axis, r, c) for r, c in self._decode(self.mask(sel, self.width))]
             )
         return keys
 

@@ -1,6 +1,7 @@
 """Restricted composition: formula parsing, evaluation, placement search."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -352,6 +353,89 @@ def comparisons(r):
     if isinstance(r, (And, Or)):
         return [c for item in r.items for c in comparisons(item)]
     return []
+
+
+def spanning_word(rng, rows, cols):
+    """A random word whose bounding box is exactly rows x cols, somewhere;
+    often the whole box."""
+    if rng.random() < 0.5:
+        cells = {(r, c): rng.choice("ab") for r in range(rows) for c in range(cols)}
+    else:
+        cells = {
+            (rng.randrange(rows), rng.randrange(cols)): rng.choice("ab")
+            for _ in range(rng.randint(0, rows * cols // 2))
+        }
+    for pos in (
+        (0, rng.randrange(cols)),
+        (rows - 1, rng.randrange(cols)),
+        (rng.randrange(rows), 0),
+        (rng.randrange(rows), cols - 1),
+    ):
+        cells[pos] = rng.choice("ab")
+    return translate(Word.from_map(cells), rng.randint(-3, 3), rng.randint(-3, 3))
+
+
+class TestComposeLangsAtTheFrameEdges:
+    # compose_langs places words in a frame as wide as the bounds, so these
+    # cases sit where a shifted mask could wrap a column into the next row.
+    RESTRICTIONS = (
+        "e=w",
+        "n=s",  # the right word above
+        "nw=se",  # above and to the left
+        "ne=sw",  # above and to the right
+        "n<w",  # across axes: never
+        "e=s",  # across axes, with sides never empty: never
+        "w#n",  # across axes: never
+        "(!x)n=nw'",  # across axes: only when both sides are empty
+        "se>nw",  # '>' only
+        "s>n&sw>nw",
+        "s<n&sw>nw",  # '<' and '>'
+        "xse#xnw",  # '#' only
+        "n#s&nw#sw",
+        "always",  # contact only
+        "e=w|s=n",
+        "!(w#e)",
+    )
+    NEVER = ("n<w", "e=s", "w#n")
+
+    def test_matches_the_union_of_pair_scans(self):
+        rng = random.Random(2210)
+        held, exact, outside = Counter(), 0, 0
+        for text in self.RESTRICTIONS * 15:
+            r = R(text)
+            sizes = [
+                [(rng.randint(1, 4), rng.randint(1, 4)) for _ in range(rng.randint(1, 2))]
+                for _ in range(2)
+            ]
+            langs = [{spanning_word(rng, *size) for size in side} for side in sizes]
+
+            def extent(k):
+                # The largest operand's extent, which a pair placed across the
+                # axis can fill, or the sum of two, which fits a pair placed
+                # along it; at times one less, leaving an operand outside.
+                largest = max(size[k] for side in sizes for size in side)
+                fit = rng.choice((largest, sizes[0][0][k] + sizes[1][0][k]))
+                return max(1, fit - rng.choice((0, 0, 1)))
+
+            rows, cols = extent(0), extent(1)
+            bounds = Bounds(rows, cols, rng.choice((rng.randint(1, rows * cols), rows * cols)))
+            want = frozenset(
+                res
+                for v in langs[0]
+                for w in langs[1]
+                for res in oracle_compose(v, w, r)
+                if bounds.admits(res)
+            )
+            budget = Budget(10_000)
+            assert compose_langs(*langs, r, bounds, budget) == want, text
+            assert 10_000 - budget.remaining == len(langs[0]) * len(langs[1])
+            held[text] += bool(want)
+            for w in langs[0] | langs[1]:
+                exact += bounds.admits(w) and (w.height, w.width) == (rows, cols)
+                outside += not bounds.admits(w)
+        assert all(held[text] == 0 for text in self.NEVER), held
+        assert all(held[text] > 0 for text in self.RESTRICTIONS if text not in self.NEVER), held
+        assert exact >= 30 and outside >= 150, (exact, outside)
 
 
 class TestSolveSpends:
