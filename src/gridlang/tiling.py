@@ -276,22 +276,23 @@ def parse_tile_system(text: str) -> TileSystem:
 # box cell by cell in row-major order, choosing for each cell a letter or
 # nothing. After a prefix of choices, the frontier is the set of border
 # profiles that some tile assignment of the prefix leaves open. A profile
-# is the south label facing each column (None under an empty cell) plus
-# the east label facing the next cell (None after an empty cell or at the
-# end of a row). _step, with the TileSystem.placements table it reads,
-# is the one place where borders are matched and boundary labels
-# checked; enumeration, counting, witness search and acceptance all
-# drive it. Enumeration and witness search step whole rows: they list a
-# row's complete fillings once per (row, state at the row's start, cells
-# left) by walking its cells, and join the rows of a word from those
-# tables.
+# is sparse, as in broken-profile dynamic programming: the south labels
+# still to be read, as a flat tuple (col, label, col, label, ...) that
+# lists only the columns whose latest cell is lettered, in walk order from
+# the current column, plus the east label facing the next cell (None
+# after an empty cell or at the end of a row). A profile never names its row, so
+# steps at one column are shared across rows. _step, with the
+# TileSystem.placements table it reads, is the one place where borders
+# are matched and boundary labels checked; enumeration, counting, witness
+# search and acceptance all drive it. Enumeration and witness search step
+# whole rows: they list a row's complete fillings once per (row, state at
+# the row's start, cells left) by walking its cells, and join the rows of
+# a word from those tables.
 
-Profile = tuple[tuple[Optional[str], ...], Optional[str]]
+Profile = tuple[tuple, Optional[str]]  # ((col, south, col, south, ...), east)
 Frontier = frozenset[Profile]
 
-
-def _start(cols: int) -> Frontier:
-    return frozenset({((None,) * cols, None)})
+_START: Frontier = frozenset({((), None)})  # nothing faces the first cell
 
 
 def _step(
@@ -305,9 +306,13 @@ def _step(
     """Profiles reachable after `choice` (a letter, or None for empty) at column c."""
     out = set()
     table = f.placements.get(choice, {})
-    for fronts, east in frontier:
-        for south, east_out in table.get((east, fronts[c], last_row, last_col), ()):
-            out.add((fronts[:c] + (south,) + fronts[c + 1 :], east_out))
+    for souths, east in frontier:
+        if souths and souths[0] == c:
+            north, rest = souths[1], souths[2:]
+        else:
+            north, rest = None, souths
+        for south, east_out in table.get((east, north, last_row, last_col), ()):
+            out.add((rest if south is None else rest + (c, south), east_out))
     return frozenset(out)
 
 
@@ -346,18 +351,23 @@ def accepting(f: TileSystem, s: Scenario) -> bool:
     return True
 
 
-def word_accepted(f: TileSystem, w: Word) -> bool:
+def word_accepted(f: TileSystem, w: Word, *, steps: Optional[dict] = None) -> bool:
     """Some accepting scenario of f strips to this word.
 
     Steps the frontier across the word's bounding box in row-major
     order, each cell's choice fixed to its letter or to empty. An empty
     cell whose west and north cells are empty too leaves every profile
-    as it is, so it is skipped.
+    as it is, so it is skipped. `steps` memoizes _step by its arguments;
+    a caller testing many words of one system passes one dict to every
+    call, so words that share a prefix share its steps. It defaults to a
+    fresh dict.
     """
     w = normalize(w)
     letters = w.cell_map
     rows, cols = w.height, w.width
-    frontier = _start(cols)
+    if steps is None:
+        steps = {}
+    frontier = _START
     for r in range(rows):
         for c in range(cols):
             letter = letters.get((r, c))
@@ -365,7 +375,10 @@ def word_accepted(f: TileSystem, w: Word) -> bool:
                 (r, c - 1) not in letters and (r - 1, c) not in letters
             ):
                 continue
-            frontier = _step(f, frontier, c, letter, r == rows - 1, c == cols - 1)
+            key = (frontier, c, letter, r == rows - 1, c == cols - 1)
+            frontier = steps.get(key)
+            if frontier is None:
+                frontier = steps[key] = _step(f, *key)
             if not frontier:
                 return False
     return True
@@ -379,7 +392,7 @@ Cell = tuple[int, int, str]
 
 
 def _walk(
-    f: TileSystem, bounds: Bounds, budget: Budget
+    f: TileSystem, bounds: Bounds, budget: Budget, *, brief: Optional[dict] = None
 ) -> Callable[[int, State, bool], list[tuple[Optional[Cell], State]]]:
     """The box walk that enumeration and counting share.
 
@@ -390,31 +403,44 @@ def _walk(
     the caller says if a letter fits under max_cells, and cuts a state
     reaching row 1 with no cells. Each call charges len(choices) budget
     units with room, else 1, and cuts a child that must leave column 0
-    bare. Steps are shared at each cell by equal frontiers and room.
+    bare. Steps are memoized by (column, last row, frontier, room), the
+    cell's row filled in when a step is used, so rows share them. When
+    `brief` is given, the steps no later row reads go there instead:
+    those of the last row, whose keys no other row has, and of the row
+    above it, which only the last row follows; and, since they offer
+    only the empty choice, those without room. A caller that reaches
+    each cell once empties `brief` after each cell, so those steps live
+    for their cell only.
     """
     rows, cols = bounds.max_rows, bounds.max_cols
-    bottom, last = (rows - 1) * cols, rows * cols - 1  # the last row's two ends
-    done = _start(0)  # no frontier is read after the last cell
+    done = _START  # no frontier is read after the last cell
     choices = (*sorted(f.letters), None)
-    steps: dict[tuple[int, Frontier, bool], list[tuple[Optional[Cell], Frontier]]] = {}
+    steps: dict[tuple[int, bool, Frontier, bool], list[tuple[Optional[str], Frontier]]] = {}
+    if brief is None:
+        brief = steps
 
     def children(k: int, state: State, room: bool) -> list[tuple[Optional[Cell], State]]:
         col0, frontier = state
-        c = k % cols
-        found = steps.get((k, frontier, room))
+        r, c = divmod(k, cols)
+        last_row = r == rows - 1
+        key = (c, last_row, frontier, room)
+        found = steps.get(key)
         if found is None:
-            r = k // cols
-            found = steps[(k, frontier, room)] = [
-                (None if choice is None else (r, c, choice), done if k == last else reached)
+            found = brief.get(key)
+        if found is None:
+            last_col = c == cols - 1
+            found = [
+                (choice, done if last_row and last_col else reached)
                 for choice in (choices if room else (None,))
-                if (reached := _step(f, frontier, c, choice, k >= bottom, c == cols - 1))
+                if (reached := _step(f, frontier, c, choice, last_row, last_col))
             ]
+            (steps if room and r < rows - 2 else brief)[key] = found
         budget.charge(len(choices) if room else 1)
         out = []
-        for cell, reached in found:
-            if cell is not None:
-                out.append((cell, (col0 or c == 0, reached)))
-            elif c or col0 or k < bottom:  # else column 0 stays empty
+        for choice, reached in found:
+            if choice is not None:
+                out.append(((r, c, choice), (col0 or c == 0, reached)))
+            elif c or col0 or not last_row:  # else column 0 stays empty
                 out.append((None, (col0, reached)))
         return out
 
@@ -497,7 +523,7 @@ def _search(f: TileSystem, bounds: Bounds, budget: Budget) -> Iterator[Word]:
             else:
                 yield Word._trusted(cells, "\n".join([s[:width] for s in lines[:height]]))
 
-    start = (False, _start(cols))
+    start = (False, _START)
     if rows == 1:
         yield from words((), [], 0, 0, fillings(0, start, max_cells))
         return
@@ -561,28 +587,32 @@ def count_language(f: TileSystem, bounds: Bounds) -> int:
     a frontier is a SET of profiles, so a letter word counts once even
     when several tile assignments realize it. A state carries its path
     counts by cell count, a polynomial packed into one integer at `width`
-    bits a count. The walk charges the budget per merged state, and this
-    caller applies the cell-count rules: a letter shifts the counts up
-    one, dropping the one past max_cells; an empty cell keeps them; row
-    1 clears the zero-cell count; room is a path under max_cells cells.
+    bits a count. One walk serves the whole count, so a row reuses the
+    steps an earlier row took at the same column; the steps no later row
+    reads live for their cell only. The walk charges the budget per
+    merged state, and this caller applies the cell-count rules: a letter
+    shifts the counts up one, dropping the one past max_cells; an empty
+    cell keeps them; row 1 clears the zero-cell count; room is a path
+    under max_cells cells.
     """
     rows, cols, max_cells = bounds.max_rows, bounds.max_cols, bounds.max_cells
     # No count exceeds the ways to letter that many cells of the box.
     ways = (comb(rows * cols, n) * len(f.letters) ** n for n in range(max_cells + 1))
     width = max(ways).bit_length()
     below_top = (1 << width * max_cells) - 1  # the counts below max_cells
-    budget = Budget(bounds.node_budget)
-    states = {(False, _start(cols)): 1}
+    budget, brief = Budget(bounds.node_budget), {}
+    children = _walk(f, bounds, budget, brief=brief)
+    states = {(False, _START): 1}
     for k in range(rows * cols):
         if k == cols:  # row 0 stayed empty: clear the zero-cell counts
             states = {s: v >> width << width for s, v in states.items() if v >> width}
-        children = _walk(f, bounds, budget)  # no later layer revisits cell k
         nxt: dict[State, int] = {}
         for state, vec in states.items():
             up = (vec & below_top) << width
             for cell, child in children(k, state, up != 0):
                 nxt[child] = nxt.get(child, 0) + (vec if cell is None else up)
         states = nxt
+        brief.clear()  # no later cell reads these steps
     total = sum(vec for (col0, _), vec in states.items() if col0)
     return sum(total >> n * width & (1 << width) - 1 for n in range(max_cells + 1))
 
@@ -625,11 +655,12 @@ def diff_against_language(
     if max_witnesses < 0:
         raise ValueError(f"max_witnesses must be non-negative, got {max_witnesses!r}")
     expected = frozenset(normalize(w) for w in words)
+    steps: dict = {}  # the left words' steps, shared among them
     only_left = sorted(
         (
             w
             for w in expected
-            if not (bounds.admits(w) and word_accepted(f, w))
+            if not (bounds.admits(w) and word_accepted(f, w, steps=steps))
         ),
         key=word_sort_key,
     )

@@ -5,6 +5,7 @@ import random
 
 from gridlang.grid import ELEMENT_KINDS, FILTERS, Selector, Word
 from gridlang.compose import And, Comparison, Not, Or, Restriction
+from gridlang.tiling import Tile, TileSystem
 
 
 def W(*rows: str) -> Word:
@@ -27,6 +28,17 @@ def random_word(rng: random.Random, size: int = 5, letters: str = "ab") -> Word:
     while len(cells) < n:
         cells[(rng.randrange(size), rng.randrange(size))] = rng.choice(letters)
     return Word.from_map(cells)
+
+
+def random_tile_system(rng: random.Random, letters: str = "ab") -> TileSystem:
+    """2 to 6 tiles over two labels, several possibly sharing a letter,
+    and one or both labels admissible per direction."""
+    tiles = tuple(
+        Tile(rng.choice(letters), *(rng.choice("01") for _ in range(4)))
+        for _ in range(rng.randint(2, 6))
+    )
+    ext = (frozenset(rng.sample("01", rng.randint(1, 2))) for _ in range(4))
+    return TileSystem(tiles, *ext)
 
 
 def random_selector(rng: random.Random) -> Selector:

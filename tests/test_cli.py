@@ -612,6 +612,44 @@ class TestDiff:
         assert doc["only_left"] == doc["only_right"] == []
 
 
+class TestWideBoxes:
+    """Boxes far wider than any word they hold: a tile step copies no
+    row-wide profile, so each command ends in its exit code within
+    seconds, never in a MemoryError traceback. Each runs in a fresh
+    interpreter whose address space is capped at 1 GiB."""
+
+    ONE_ROW = ("--sats", "F0", "--max-rows", "1", "--max-cols", "100000", "--max-cells", "1")
+    BUDGETED = ("--sats", "F0", "--max-rows", "300", "--max-cols", "3000",
+                "--max-cells", "2", "--node-budget", "100000")
+
+    @staticmethod
+    def run_capped(*argv: str) -> subprocess.CompletedProcess:
+        import resource
+
+        def cap() -> None:
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        return subprocess.run(
+            [sys.executable, "-m", "gridlang.cli", *argv], capture_output=True,
+            text=True, env=checkout_env(), timeout=60, preexec_fn=cap,
+        )
+
+    def test_one_row_enum(self):
+        res = self.run_capped("enum", *self.ONE_ROW)
+        assert (res.returncode, res.stdout, res.stderr) == (0, "0\n", "")
+
+    def test_one_row_diff(self):
+        res = self.run_capped("diff", "--system", "squares", *self.ONE_ROW)
+        assert (res.returncode, res.stderr) == (1, "")
+        assert res.stdout.startswith("solver: 1 words\ntiles: 1 words\ncommon: 0\n")
+
+    @pytest.mark.parametrize("verb", [("enum",), ("diff", "--system", "squares")])
+    def test_budget_ends_a_wide_box(self, verb):
+        res = self.run_capped(*verb, *self.BUDGETED)
+        assert (res.returncode, res.stderr) == (1, "")
+        assert res.stdout.endswith("partial: node budget exhausted\n")
+
+
 class TestValidate:
     def test_builtin_protocol_is_valid(self):
         assert go("validate", "--modules", "protocol") == (

@@ -1,6 +1,7 @@
 """Tile systems, scenarios, enumeration, projection."""
 
 import itertools
+import random
 
 import pytest
 
@@ -20,7 +21,7 @@ from gridlang.tiling import (
     Tile,
     TileSystem,
     _search,
-    _start,
+    _START,
     _walk,
     accepting,
     column_strings,
@@ -36,7 +37,7 @@ from gridlang.tiling import (
     word_accepted,
 )
 
-from conftest import W, with_comments
+from conftest import W, random_tile_system, random_word, with_comments
 
 
 def scen(f: TileSystem, *rows: str, top: int = 0, left: int = 0) -> Scenario:
@@ -343,7 +344,7 @@ def cell_search(f: TileSystem, bounds: Bounds, budget: Budget):
     cols, max_cells = bounds.max_cols, bounds.max_cells
     total = bounds.max_rows * cols
     children = _walk(f, bounds, budget)
-    stack = [iter(children(0, (False, _start(cols)), True))]
+    stack = [iter(children(0, (False, _START), True))]
     path, cells = [], []  # the choice made at each decided cell; the letter cells
     while stack:
         move = next(stack[-1], None)
@@ -614,6 +615,49 @@ class TestCountLanguage:
     def test_large_box_count_is_frozen(self):
         # Regression pin; the cross-check golden file carries the same figure.
         assert count_language(F, Bounds(6, 6, 12)) == 33_611_898
+
+
+class TestSharedSteps:
+    """Steps are memoized by column rather than by cell, and acceptance
+    shares them across the words of a diff. A memo key that forgot the
+    last row or the last column would let a step of one row, or of one
+    word, stand in for a step whose borders face outside."""
+
+    @pytest.mark.parametrize(
+        "box",
+        [(1, 7, 4), (2, 5, 4), (6, 2, 4), (2, 12, 3)],
+        ids=["one row", "two rows", "tall", "wide"],
+    )
+    def test_count_matches_enumeration_random_systems(self, box):
+        rng = random.Random(2300 + box[0] * 100 + box[1])
+        bounds = Bounds(*box)
+        for _ in range(20):
+            f = random_tile_system(rng)
+            words = enumerate_language(f, bounds)
+            assert count_language(f, bounds) == len(words), f
+            steps: dict = {}
+            assert all(word_accepted(f, w, steps=steps) for w in words), f
+
+    def test_shared_acceptance_matches_word_by_word(self):
+        rng = random.Random(2323)
+        bounds = Bounds(4, 4, 6)
+        for _ in range(30):
+            f = random_tile_system(rng)
+            words = {normalize(random_word(rng, rng.randint(1, 4), "ab")) for _ in range(40)}
+            grown = enumerate_language(f, Bounds(3, 3, 4))
+            # A word's top rows: one word ends in the row where another goes on.
+            words |= grown | {
+                normalize(Word(tuple(cell for cell in w.cells if cell[0] < h)))
+                for w in grown
+                for h in range(1, w.height)
+            }
+            rejected = sorted(
+                (w for w in words if not (bounds.admits(w) and word_accepted(f, w))),
+                key=word_sort_key,
+            )
+            diff = diff_against_language(f, bounds, words)
+            assert diff.only_left_count == len(rejected), f
+            assert diff.only_left == tuple(rejected[:10]), f
 
 
 class TestDiff:
