@@ -25,14 +25,14 @@ Library rules and scenario cells are written in one line shape,
 <W | N> -> <E | S>`. Each line is matched whole against its shape (a
 wire line has its own), and only the four border fields, through one
 field reader, and a rule's where clause go through the expression
-grammar; the nesting bound counts each of them on its own. Scenario
-text writes every shared border twice and repeats each datum kept so
-far in every later set, so parsing shares equal data: within one
-parse_scenario call, each distinct field text is parsed once, set
-items are keyed by their text, so each is parsed and evaluated once,
-and interned by value, so every copy of an item comes back as the same
-object. format_dexpr prints data and templates alike, as text that
-parses back to them.
+grammar, which rejects a bad character as it reads and bounds each path
+through each of them on its own. Scenario text writes every shared
+border twice and repeats each datum kept so far in every later set, so
+parsing shares equal data: within one parse_scenario call, each
+distinct field text is parsed once, set items are keyed by their text,
+so each is parsed and evaluated once, and interned by value, so every
+copy of an item comes back as the same object. format_dexpr prints
+data and templates alike, as text that parses back to them.
 
 The communication protocol from the problem domain ships as a builtin
 library and scenario. Its SR and End modules are reconstructions (the
@@ -582,9 +582,8 @@ def complete_scenario(
 # ---------------------------------------------------------------------------
 # Text formats
 
-_TOKEN = re.compile(r"->|!=|[A-Za-z][A-Za-z0-9_]*|\d+|[?_<>|(){},^+\-=:.]")
-# A character that is neither blank nor the start of a token.
-_BAD_CHAR = re.compile(r"[^\sA-Za-z\d_?<>|(){},^+\-=:.!]|!(?!=)")
+# A name, a number, '!=', or any other character on its own.
+_TOKEN = re.compile(r"!=|[A-Za-z][A-Za-z0-9_]*|\d+|\S")
 _KEYWORDS = frozenset({"module", "cell", "wire", "where", "in", "min", "reconstructed"})
 _NAME = r"[A-Za-z][A-Za-z0-9_]*|\d+"  # a module name
 _POS = r"\(\s*(\d+)\s*,\s*(\d+)\s*\)"
@@ -598,14 +597,10 @@ _RULE = re.compile(
     rf"module\s+({_NAME})(\s+reconstructed)?\s*:\s*{_BORDERS}(?:\s*where\b(.*))?"
 )
 _WIRE = re.compile(rf"wire\s*{_POS}\s*\.\s*e\s*->\s*{_POS}\s*\.\s*w")
-# Keeps a text's brackets, as '(' and ')', and drops its other ASCII.
-_BRACKETS = str.maketrans(
-    "{}", "()", "".join(c for c in map(chr, range(128)) if c not in "(){}")
-)
-_NOT_BRACKET = re.compile(r"[^()]+")
-# Scenario fields read a flat set display as one token; _ITEM_COMMA cuts
+# Scenario fields read a flat set display as one token: no brace and no
+# operator inside, and nothing nested in its parentheses. _ITEM_COMMA cuts
 # its items apart, its lookahead stopping at the next comma or bracket.
-_SET_TOKEN = re.compile(r"\{[^(){}]*(?:\([^(){}]*\)[^(){}]*)*\}|" + _TOKEN.pattern)
+_SET_TOKEN = re.compile(r"\{[^(){}+\-]*(?:\([^(){}+\-]*\)[^(){}+\-]*)*\}|" + _TOKEN.pattern)
 _ITEM_COMMA = re.compile(r",(?![^(),]*\))")
 # parse_scenario's tables of set data: the datum of each set item and of
 # each flat set display, by its text, and the one object of each item's
@@ -616,43 +611,42 @@ _Shared = tuple[dict[str, Datum], dict[Datum, Datum]]
 _UNSEEN = object()
 
 
-def _nesting(line: str) -> int:
-    """A bound on how deep the expressions of a field or where clause nest.
-
-    Brackets nest the parser and each '+' or '-' nests the expression it
-    builds, so the bound is the depth of the brackets, counting one left
-    unclosed as open to the end of the text, plus the operators. Keeping
-    it small keeps parsing, evaluation and hashing of the text's data
-    within Python's recursion limit.
-    """
-    brackets = _NOT_BRACKET.sub("", line.translate(_BRACKETS))
-    depth = 0
-    while "()" in brackets and depth <= MAX_NESTING:
-        brackets = brackets.replace("()", "")
-        depth += 1
-    operators = line.count("+") + line.count("-") - line.count("->")
-    return depth + brackets.count("(") + operators
-
-
 class _Tokens:
     """The tokens of one border field, where clause or set item, and a cursor.
 
     `shared` holds parse_scenario's tables of set data (see _Shared).
-    With them, a flat set display (no brace inside, and no bracket
-    nested in its parentheses) is one token, read by _flat_set; any
-    other set is read bracket by bracket, its items without the tables.
-    Module libraries have no tables and tokenize every bracket alone.
+    With them, a flat set display (see _SET_TOKEN) is one token, read by
+    _flat_set. Other sets, and every set of a module library, which has
+    no tables, are read bracket by bracket, their items without tables.
+
+    The parser bounds nesting per path as it reads. `depth` counts the
+    constructs open at the cursor: '(' (also after min), '{' and an
+    operator's right operand. `reach` is the deepest path so far in the
+    tree of the sum being read; each operator puts the operands before it
+    one level deeper. Both stay within MAX_NESTING, and so parsing,
+    evaluation and hashing of the text's data stay within the recursion
+    limit.
     """
 
     def __init__(self, line: str, shared: Optional[_Shared] = None) -> None:
-        if _BAD_CHAR.search(line):
-            raise ValueError(f"bad character in {line!r}")
-        if _nesting(line) > MAX_NESTING:
-            raise ValueError(f"nesting deeper than {MAX_NESTING} in {line!r}")
         self.items = (_TOKEN if shared is None else _SET_TOKEN).findall(line)
         self.line = line
         self.shared = shared
         self.at = 0
+        self.depth = self.reach = 0
+
+    def nest(self, levels: int = 1) -> None:
+        """Enter `levels` more constructs; callers restore `depth` on leaving."""
+        self.depth += levels
+        if self.depth > self.reach:
+            self.reach = self.depth
+        if self.reach > MAX_NESTING:
+            raise ValueError(f"nesting deeper than {MAX_NESTING} in {self.line!r}")
+
+    def end(self) -> None:
+        """Raise ValueError unless every token has been read."""
+        if self.at < len(self.items):
+            raise ValueError(f"unexpected {self.items[self.at]!r} in {self.line!r}")
 
     def peek(self) -> Optional[str]:
         return self.items[self.at] if self.at < len(self.items) else None
@@ -673,8 +667,12 @@ def _flat_set(tok: str, t: _Tokens) -> frozenset:
     A set not seen yet is cut into items at the commas outside
     parentheses, and each item is looked up by its text. An item not
     seen yet is parsed from its own tokens, which it must use up, then
-    grounded and kept as the one object of its value.
+    grounded and kept as the one object of its value. A flat set holds
+    no operator, so wherever it sits it nests one level, two with a pair.
     """
+    levels = 2 if "(" in tok else 1
+    t.nest(levels)
+    t.depth -= levels
     texts, data = t.shared
     s = texts.get(tok)
     if s is None:
@@ -683,8 +681,7 @@ def _flat_set(tok: str, t: _Tokens) -> frozenset:
             if text not in texts:
                 item = _Tokens(text)
                 e = _parse_sum(item)
-                if item.peek() is not None:
-                    raise ValueError(f"trailing tokens in set item {text!r} of {t.line!r}")
+                item.end()
                 d = _ground(e, t.line)
                 texts[text] = data.setdefault(d, d)
         s = texts[tok] = frozenset([texts[text] for text in parts])
@@ -697,25 +694,23 @@ def _parse_atom(t: _Tokens) -> DExpr:
         return None
     if tok == "?":
         return tok
-    if tok.isdigit():
+    if tok.isdecimal():
         return int(tok)
-    if tok == "min":
-        t.take("(")
-        inner = _parse_field(t)
-        t.take(")")
-        return MinOf(inner)
+    if tok == "min" and t.peek() == "(":
+        return MinOf(_parse_atom(t))
     if tok == "(":
+        t.nest()
         first = _parse_sum(t)
         if t.peek() == ",":
             t.take(",")
-            second = _parse_sum(t)
-            t.take(")")
-            return PairExpr(first, second)
+            first = PairExpr(first, _parse_sum(t))
         t.take(")")
+        t.depth -= 1
         return first
     if tok[0] == "{":
         if len(tok) > 1:
             return _flat_set(tok, t)
+        t.nest()
         items: list[DExpr] = []
         if t.peek() != "}":
             items.append(_parse_sum(t))
@@ -723,8 +718,9 @@ def _parse_atom(t: _Tokens) -> DExpr:
                 t.at += 1
                 items.append(_parse_sum(t))
         t.take("}")
+        t.depth -= 1
         return SetDisplay(tuple(items))
-    if tok[0].isalpha():
+    if tok[0].isascii() and tok[0].isalpha():
         if tok in _KEYWORDS:
             raise ValueError(f"keyword {tok!r} cannot name data")
         if tok in _VAR_NAMES:
@@ -745,30 +741,30 @@ def _parse_unit(t: _Tokens) -> DExpr:
 
 
 def _parse_sum(t: _Tokens) -> DExpr:
+    outer, t.reach = t.reach, t.depth
     out = _parse_unit(t)
     while t.peek() in ("+", "-"):
         op = t.take()
+        t.reach += 1
+        t.nest()
         out = BinOp(op, out, _parse_unit(t))
+        t.depth -= 1
+    if outer > t.reach:
+        t.reach = outer
     return out
 
 
-def _parse_field(t: _Tokens) -> DExpr:
-    """A border field; one that ends at once ('|', '>' or the end) is blank."""
-    if t.peek() in ("|", ">", None):
+def _read_field(field: str, shared: Optional[_Shared] = None) -> DExpr:
+    """One whole border field of a library rule or a scenario cell; an
+    empty one is blank."""
+    t = _Tokens(field, shared)
+    if t.peek() is None:
         return None
-    first = _parse_sum(t)
+    e = _parse_sum(t)
     if t.peek() == ",":
         t.take(",")
-        return PairExpr(first, _parse_sum(t))
-    return first
-
-
-def _read_field(field: str, shared: Optional[_Shared] = None) -> DExpr:
-    """One whole border field of a library rule or a scenario cell."""
-    t = _Tokens(field, shared)
-    e = _parse_field(t)
-    if t.peek() is not None:
-        raise ValueError(f"trailing tokens in {field!r}")
+        e = PairExpr(e, _parse_sum(t))
+    t.end()
     return e
 
 
@@ -804,8 +800,7 @@ def parse_module_library(text: str) -> tuple[DataModule, ...]:
             while t.peek() == ",":
                 t.take(",")
                 guards.append(_parse_guard(t))
-            if t.peek() is not None:
-                raise ValueError(f"trailing tokens in {line!r}")
+            t.end()
         rules.setdefault(name, []).append(Rule(west, north, east, south, tuple(guards)))
     return tuple(
         DataModule(name, tuple(group), reconstructed=name in marked)

@@ -399,6 +399,22 @@ class TestDeepNesting:
         assert go("solve", "--file", str(path), "--max-cells", "2") == (2, "")
         assert capsys.readouterr().err.startswith("error: bad equation file")
 
+    def test_deep_scenario_field(self, tmp_path, capsys):
+        path = tmp_path / "deep.imod"
+        deep = "(" * 3000 + "a" + ")" * 3000
+        path.write_text(f"cell (0,0) SK: <{deep} | _> -> <_ | _>\n")
+        assert go("validate", "--modules", "protocol", "--scenario", str(path)) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad scenario") and "nesting deeper than 100" in err
+
+    def test_bad_character_in_module_library(self, tmp_path, capsys):
+        lib, scenario = tmp_path / "lib.imod", tmp_path / "one.imod"
+        lib.write_text("module Q: <a | _> -> <b~ | _>\n")
+        scenario.write_text("cell (0,0) Q: <a | _> -> <b | _>\n")
+        assert go("validate", "--modules", str(lib), "--scenario", str(scenario)) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad module library") and "'~'" in err
+
 
 class TestModuleEntry:
     def test_help(self):

@@ -469,6 +469,42 @@ class TestParsing:
             assert parse_scenario(format_scenario(s)) == s, text
         assert parsed > 0
 
+    def test_edited_scenarios_with_other_characters_parse_or_raise(self):
+        # A letter beyond ASCII, a Unicode blank, and an Arabic-Indic
+        # digit, which `\d` and int() read as 3.
+        rng = random.Random(4104)
+        base = format_scenario(SCENARIO)
+        parsed = 0
+        for _ in range(self.CASES):
+            text = random_edits(rng, base, self.ALPHABET + "é\xa0٣")
+            try:
+                s = parse_scenario(text)
+            except ValueError:
+                continue
+            parsed += 1
+            assert parse_scenario(format_scenario(s)) == s, text
+        assert parsed > 0
+
+    def test_non_ascii_letters_are_rejected(self):
+        for line in (
+            "cell (0,0) 0: <é | _> -> <_ | _>",
+            "cell (0,0) 0: <{a,é} | _> -> <_ | _>",
+            "cell (0,0) 0: <({(1,é)},b) | _> -> <_ | _>",
+            "cell (0,0) é: <_ | _> -> <_ | _>",
+        ):
+            with pytest.raises(ValueError, match="é"):
+                parse_scenario(line)
+        for line in (
+            "module Q: <é | _> -> <_ | _>",
+            "module Q: <x | _> -> <_ | _> where x in {a,é}",
+            "module é: <_ | _> -> <_ | _>",
+        ):
+            with pytest.raises(ValueError, match="é"):
+                parse_module_library(line)
+        # A Unicode blank separates tokens, inside a flat set too.
+        cell = parse_scenario("cell (0,0) 0: <{a,\xa0b} | _> -> <_ | _>").cells[0][2]
+        assert cell.west == ds("a", "b")
+
     def test_edited_libraries_parse_or_raise(self):
         rng = random.Random(4102)
         base = format_module_library(LIB)
@@ -552,6 +588,62 @@ class TestParsing:
             f"module Q: <{west} | {north}> -> <_ | U> where U = {west}"
         )
         assert parse_module_library(format_module_library(lib)) == lib
+
+    def test_nesting_is_bounded_per_path(self):
+        # Every operator plus the bracket depth counts 121 here; the
+        # deepest path, through the first pair of sets, is 62 deep.
+        west = "+".join(["({1}+{2})"] * 60)
+        s = parse_scenario(f"cell (0,0) 0: <{west} | _> -> <_ | _>")
+        assert s.cells[0][2].west == ds(1, 2)
+        assert parse_scenario(format_scenario(s)) == s
+        lib = parse_module_library(f"module Q: <{west} | _> -> <U | _> where U = {west}")
+        assert parse_module_library(format_module_library(lib)) == lib
+
+        # The first operand of a chain sits below every operator of it.
+        def chain(k: int) -> str:
+            return "(" * k + "+".join(["{1}"] * 50) + ")" * k
+
+        assert _ground(_read_field(chain(50)), "") == ds(1)
+        lib = parse_module_library(f"module Q: <U | _> -> <_ | _> where U = {chain(50)}")
+        assert parse_module_library(format_module_library(lib)) == lib
+        for line in (
+            f"cell (0,0) 0: <{chain(51)} | _> -> <_ | _>",
+            f"cell (0,0) 0: <_ | ({chain(51)},a)> -> <_ | _>",
+        ):
+            with pytest.raises(ValueError, match="nesting"):
+                parse_scenario(line)
+        with pytest.raises(ValueError, match="nesting"):
+            parse_module_library(f"module Q: <U | _> -> <_ | _> where U = {chain(51)}")
+        # Chains nested in chains: 99 deep counted top-down, but the tree
+        # is 2,401 operators deep.
+        tower = "(" * 49 + "{1}" + ("+{1}" * 49 + ")") * 49
+        with pytest.raises(ValueError, match="nesting"):
+            parse_scenario(f"cell (0,0) 0: <{tower} | _> -> <_ | _>")
+
+    @pytest.mark.parametrize("inner", ["{}", "{1,2}", "{(1,a),b}", "{1+1}", "{(1,0-2)}"])
+    def test_flat_sets_nest_as_read_bracket_by_bracket(self, inner):
+        # Near the bound, the scenario reader's flat set tokens count as
+        # deep as the library reader, which reads every bracket on its own.
+        outcomes = set()
+        for k in range(95, 102):
+            for text in (
+                "(" * k + inner + ")" * k,
+                "{" * k + inner + "}" * k,
+                "+".join([inner] * k),
+                "(" * k + f"a,{inner}" + ")" * k,
+            ):
+                try:
+                    want = _ground(_read_field(text), text)
+                except ValueError:
+                    want = ValueError
+                try:
+                    s = parse_scenario(f"cell (0,0) 0: <{text} | _> -> <_ | _>")
+                    got = s.cells[0][2].west
+                except ValueError:
+                    got = ValueError
+                assert got == want, (k, text)
+                outcomes.add(want is ValueError)
+        assert outcomes == {True, False}
 
     def test_library_header_forms(self):
         (m,) = parse_module_library("module A: <_ | (i,V)> -> <x | _> where(i,x) in V")
