@@ -32,22 +32,30 @@ on the right, inside given bounds.
 
 Concrete restriction syntax: selectors w, n, e, s, nw, ne, sw, se and
 the primed golf kinds, with an optional extremeness prefix 'x' or
-'(!x)'; operators = < > #; connectives & | !; parentheses; the keyword
-'always' for the restriction with no requirement.
+'(!x)' written against the kind; operators = < > #; connectives & | !;
+parentheses; the keyword 'always' for the restriction with no
+requirement. Restriction and expression text share one token pattern,
+TOKEN, read through a grid.Cursor: the blanks between tokens are space,
+tab, CR and LF, and '--' starts a comment that runs to the end of the
+line. Each '!' and each bracket opens one level of nesting, at most
+MAX_NESTING deep along each path; an error is a ParseError.
 """
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_right
 from typing import Iterable, Iterator, Optional, Union
 
 from .grid import (
+    ELEMENT_KINDS,
     FILTER_ANY,
-    FILTER_EXTREME,
-    FILTER_NONEXTREME,
-    MAX_NESTING,
+    FILTERS,
+    MAX_NESTING,  # unused here; kept importable from `compose`
     Bounds,
     Budget,
+    Cursor,
+    ParseError,  # raised through Cursor.fail; kept importable from `compose`
     Selector,
     Word,
     bits,
@@ -105,145 +113,75 @@ Restriction = Union[Always, Comparison, Not, And, Or]
 # Parsing
 
 
-class ParseError(ValueError):
-    """Syntax error carrying the offending offset in the source text."""
-
-    def __init__(self, message: str, pos: int):
-        super().__init__(f"{message} at offset {pos}")
-        self.pos = pos
-
-
-class Cursor:
-    """Scanning state shared by the restriction and expression grammars."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.depth = 0
-
-    def nest(self) -> None:
-        """Enter one more nested construct; callers restore `depth` on leaving."""
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            self.fail(f"nesting deeper than {MAX_NESTING}")
-
-    def skip_ws(self) -> None:
-        t = self.text
-        while self.pos < len(t):
-            ch = t[self.pos]
-            if ch in " \t\r\n":
-                self.pos += 1
-            elif t.startswith("--", self.pos):
-                nl = t.find("\n", self.pos)
-                self.pos = len(t) if nl < 0 else nl + 1
-            else:
-                break
-
-    def peek(self) -> str:
-        return self.text[self.pos : self.pos + 1]
-
-    def startswith(self, s: str) -> bool:
-        return self.text.startswith(s, self.pos)
-
-    def take(self, s: str) -> bool:
-        if self.text.startswith(s, self.pos):
-            self.pos += len(s)
-            return True
-        return False
-
-    def expect(self, s: str) -> None:
-        if not self.take(s):
-            self.fail(f"expected {s!r}")
-
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-    def fail(self, message: str) -> None:
-        raise ParseError(message, self.pos)
+# Tokens of restriction and expression text: a selector with its filter,
+# 'always', a variable name, or any other character but a blank. '(!x)'
+# belongs to its selector, so it opens no group. A '--' comment is skipped.
+VAR_NAME = r"[A-Z][A-Za-z0-9_']*"
+TOKEN = re.compile(
+    rf"--[^\n]*|((?:\(!x\)|x)?(?:[ns][ew]'?|[nsew])|always(?!\w)|{VAR_NAME}|[^ \t\r\n])"
+)
+_SELECTORS = {str(s): s for s in (Selector(k, f) for k in ELEMENT_KINDS for f in FILTERS)}
 
 
 def parse_restriction(text: str) -> Restriction:
-    cur = Cursor(text)
+    cur = Cursor(TOKEN, text)
     r = parse_restriction_at(cur)
-    if not cur.at_end():
-        cur.fail("trailing input after restriction")
+    cur.end()
     return r
 
 
 def parse_restriction_at(cur: Cursor) -> Restriction:
     items = [_parse_and(cur)]
-    while True:
-        cur.skip_ws()
-        if not cur.take("|"):
-            break
+    while cur.peek() == "|":
+        cur.at += 1
         items.append(_parse_and(cur))
     return items[0] if len(items) == 1 else Or(tuple(items))
 
 
 def _parse_and(cur: Cursor) -> Restriction:
     items = [_parse_unary(cur)]
-    while True:
-        cur.skip_ws()
-        if not cur.take("&"):
-            break
+    while cur.peek() == "&":
+        cur.at += 1
         items.append(_parse_unary(cur))
     return items[0] if len(items) == 1 else And(tuple(items))
 
 
 def _parse_unary(cur: Cursor) -> Restriction:
-    cur.skip_ws()
-    if cur.take("!"):
+    tok = cur.peek()
+    if tok == "always":
+        cur.at += 1
+        return Always()
+    if tok == "!":
+        cur.at += 1
         cur.nest()
         item = Not(_parse_unary(cur))
         cur.depth -= 1
         return item
-    # '(!x)' opens a non-extreme selector, not a grouped subformula.
-    if cur.startswith("(!x)"):
-        return _parse_comparison(cur)
-    if cur.peek() == "(":
-        cur.take("(")
+    if tok == "(":
+        cur.at += 1
         cur.nest()
         inner = parse_restriction_at(cur)
         cur.depth -= 1
-        cur.skip_ws()
-        cur.expect(")")
+        cur.take(")")
         return inner
-    if cur.startswith("always"):
-        after = cur.text[cur.pos + 6 : cur.pos + 7]
-        if not (after.isalnum() or after == "_"):
-            cur.pos += 6
-            return Always()
     return _parse_comparison(cur)
 
 
 def _parse_comparison(cur: Cursor) -> Comparison:
     left = parse_selector_at(cur)
-    cur.skip_ws()
     op = cur.peek()
     if op not in COMPARISON_OPS:
         cur.fail("expected comparison operator =, <, > or #")
-    cur.pos += 1
-    right = parse_selector_at(cur)
-    return Comparison(left, op, right)
-
-
-_KIND_TOKENS = ("nw'", "ne'", "sw'", "se'", "nw", "ne", "sw", "se", "w", "n", "e", "s")
+    cur.at += 1
+    return Comparison(left, op, parse_selector_at(cur))
 
 
 def parse_selector_at(cur: Cursor) -> Selector:
-    cur.skip_ws()
-    filt = FILTER_ANY
-    if cur.take("(!x)"):
-        filt = FILTER_NONEXTREME
-    elif cur.peek() == "x" and cur.text[cur.pos + 1 : cur.pos + 2] in "nsew":
-        cur.pos += 1
-        filt = FILTER_EXTREME
-    for cand in _KIND_TOKENS:
-        if cur.take(cand):
-            return Selector(cand, filt)
-    cur.fail("expected contour element kind")
-    raise AssertionError("unreachable")
+    sel = _SELECTORS.get(cur.peek())
+    if sel is None:
+        cur.fail("expected contour element kind")
+    cur.at += 1
+    return sel
 
 
 def format_restriction(r: Restriction) -> str:

@@ -7,10 +7,18 @@ compositions, restricted iteration, and variables. Concrete syntax:
     term   : factor ('(' restriction ')' factor)*    left-associative
     factor : atom | variable | '(' sum ')' | factor '*(' restriction ')'
 
-Atoms are single lowercase letters or digits; variables are identifiers
-starting with an uppercase letter and may contain primes, so X5' is a
-valid name. Postfix iteration binds tightest, then composition, then
-union. Comments run from '--' to end of line.
+Atoms are single lowercase ASCII letters or digits; variables are
+identifiers starting with an uppercase letter and may contain primes, so
+X5' is a valid name. Postfix iteration binds tightest, then composition,
+then union. Comments run from '--' to end of line. The tokens are those
+of restrictions (compose.TOKEN).
+
+Nesting is bounded along each path of the tree, as in every text
+format: a bracket opens one level, and each link of a composition or
+star chain puts the operands before it one level deeper, since the
+chain is left-associative. A composition's restriction and right factor
+count from the link's level. So `a (e=w) b (e=w) c` is 2 deep, and a
+chain nested in the first operand of another chain adds up.
 
 An expression belongs to the extended class exactly when some selector
 in some restriction carries an extremeness filter; `classify` reports
@@ -24,8 +32,9 @@ import re
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .compose import (
-    Cursor,
-    ParseError,
+    TOKEN,
+    VAR_NAME,
+    ParseError,  # raised through Cursor.fail; kept importable from `expr`
     Restriction,
     compose_langs,
     format_restriction,
@@ -33,13 +42,13 @@ from .compose import (
     star,
     uses_extremeness,
 )
-from .grid import Bounds, Budget, Word, normalize, record, source_lines
+from .grid import Bounds, Budget, Cursor, Word, normalize, record, source_lines
 
 N2RE = "n2RE"
 X2RE = "x2RE"
 
 _ATOM_CHARS = "abcdefghijklmnopqrstuvwxyz0123456789"
-_VAR_NAME = re.compile(r"[A-Z][A-Za-z0-9_']*")
+_VAR_NAME = re.compile(VAR_NAME)
 
 
 @record
@@ -92,82 +101,62 @@ Expr = Union[Atom, Sum, Compose, Star, Var]
 
 
 def parse_expr(text: str) -> Expr:
-    cur = Cursor(text)
+    cur = Cursor(TOKEN, text)
     e = parse_expr_at(cur)
-    if not cur.at_end():
-        cur.fail("trailing input after expression")
+    cur.end()
     return e
 
 
 def parse_expr_at(cur: Cursor) -> Expr:
     items = [_parse_term(cur)]
-    while True:
-        cur.skip_ws()
-        if not cur.take("+"):
-            break
+    while cur.peek() == "+":
+        cur.at += 1
         items.append(_parse_term(cur))
     return items[0] if len(items) == 1 else Sum(tuple(items))
 
 
 def _parse_term(cur: Cursor) -> Expr:
-    node = _parse_factor(cur)
-    depth = cur.depth
-    while True:
-        cur.skip_ws()
-        if cur.peek() != "(":
-            break
-        open_pos = cur.pos
-        cur.take("(")
-        cur.skip_ws()
-        if cur.pos >= len(cur.text):
-            raise ParseError(
-                "unfinished composition: expected a restriction after '('",
-                open_pos,
-            )
-        r = parse_restriction_at(cur)
-        cur.skip_ws()
-        cur.expect(")")
-        right = _parse_factor(cur)
-        node = Compose(node, r, right)
-        cur.nest()  # each link of a chain nests the tree one level deeper
-    cur.depth = depth
-    return node
+    return cur.chain(_parse_factor, ("(",), _compose)
+
+
+def _compose(cur: Cursor, left: Expr) -> Expr:
+    opened = cur.at
+    cur.at += 1
+    if cur.peek() is None:
+        cur.fail("unfinished composition: expected a restriction after '('", opened)
+    r = parse_restriction_at(cur)
+    cur.take(")")
+    return Compose(left, r, _parse_factor(cur))
 
 
 def _parse_factor(cur: Cursor) -> Expr:
-    cur.skip_ws()
-    ch = cur.peek()
-    depth = cur.depth
-    if ch == "(":
-        cur.take("(")
+    return cur.chain(_parse_primary, ("*",), _star)
+
+
+def _star(cur: Cursor, body: Expr) -> Expr:
+    cur.at += 1
+    cur.take("(")
+    r = parse_restriction_at(cur)
+    cur.take(")")
+    return Star(body, r)
+
+
+def _parse_primary(cur: Cursor) -> Expr:
+    tok = cur.peek() or ""
+    if tok == "(":
+        cur.at += 1
         cur.nest()
-        node: Expr = parse_expr_at(cur)
-        cur.depth = depth
-        cur.skip_ws()
-        cur.expect(")")
-    elif ch and ch in _ATOM_CHARS:
-        cur.take(ch)
-        node = Atom(ch)
-    elif ch.isupper():
-        m = _VAR_NAME.match(cur.text, cur.pos)
-        assert m is not None
-        cur.pos = m.end()
-        node = Var(m.group(0))
+        node = parse_expr_at(cur)
+        cur.depth -= 1
+        cur.take(")")
+        return node
+    if len(tok) == 1 and tok in _ATOM_CHARS:
+        node = Atom(tok)
+    elif _VAR_NAME.match(tok):
+        node = Var(tok)
     else:
         cur.fail("expected an atom, a variable, or '('")
-    while True:
-        cur.skip_ws()
-        if not cur.startswith("*"):
-            break
-        cur.take("*")
-        cur.skip_ws()
-        cur.expect("(")
-        r = parse_restriction_at(cur)
-        cur.skip_ws()
-        cur.expect(")")
-        node = Star(node, r)
-        cur.nest()  # each star of a chain nests the tree one level deeper
-    cur.depth = depth
+    cur.at += 1
     return node
 
 

@@ -34,15 +34,18 @@ frame (`Word.board`), where composition compares them by shifting;
 `Word.selection` decodes a mask into keys (axis, row, col).
 
 The module also holds what every layer shares: the `record` class
-decorator, search budgets and bounds, the parsers' line reader and
-nesting limit, and the packaged corpus files.
+decorator, search budgets and bounds, the packaged corpus files, the
+line reader of the text formats, and the token cursor that the
+restriction, expression, module library and scenario grammars read
+through, with its nesting limit and its one error, ParseError.
 """
 
 from __future__ import annotations
 
+import re
 from functools import cached_property
 from importlib import resources
-from typing import Iterator, Optional
+from typing import Iterator, NoReturn, Optional
 
 Pos = tuple[int, int]
 Key = tuple[str, int, int]  # (axis, row, col): an element's place, whatever its kind
@@ -567,10 +570,113 @@ class Bounds:
         )
 
 
+# ---------------------------------------------------------------------------
+# Text
+
+
 # Deepest nesting the restriction, expression, library and scenario
 # parsers accept. It keeps parsing, and every walk of the parsed tree, far
 # inside Python's recursion limit.
 MAX_NESTING = 100
+
+
+class ParseError(ValueError):
+    """Syntax error carrying the offending offset in the source text."""
+
+    def __init__(self, message: str, pos: int):
+        super().__init__(f"{message} at offset {pos}")
+        self.pos = pos
+
+
+def excerpt(text: str, pos: int) -> str:
+    """At most 40 characters of `text` around offset `pos`, quoted."""
+    start = max(pos - 20, 0)
+    return repr(text[start : start + 40])
+
+
+class Cursor:
+    """The tokens of one text and a read position, for the restriction,
+    expression, module library and scenario grammars.
+
+    `items` are the strings `pattern.findall` returns. With a group in
+    the pattern, the empty ones are dropped, so an alternative outside
+    the group, such as a comment, is skipped; so is every character that
+    no alternative matches.
+
+    The cursor bounds nesting per path as the parser reads. `depth`
+    counts the constructs open at the cursor, entered by `nest`. `reach`
+    is the deepest path so far in the tree being read; `chain` puts the
+    operands before each link one level deeper. Both stay within
+    MAX_NESTING, so parsing and every walk of the parsed tree stay within
+    the recursion limit.
+
+    Every syntax error is a ParseError from `fail`, at the offset of a
+    token, quoting a short excerpt of the text around it.
+    """
+
+    def __init__(self, pattern: re.Pattern, text: str) -> None:
+        items = pattern.findall(text)
+        self.items = [tok for tok in items if tok] if pattern.groups else items
+        self.pattern, self.text = pattern, text
+        self.at = 0
+        self.depth = self.reach = 0
+
+    def peek(self) -> Optional[str]:
+        return self.items[self.at] if self.at < len(self.items) else None
+
+    def take(self, expected: Optional[str] = None) -> str:
+        tok = self.peek()
+        if tok is None:
+            self.fail("unexpected end of text")
+        if expected is not None and tok != expected:
+            self.fail(f"expected {expected!r}, got {tok!r}")
+        self.at += 1
+        return tok
+
+    def end(self) -> None:
+        """Fail unless every token has been read."""
+        if self.at < len(self.items):
+            self.fail(f"unexpected {self.items[self.at]!r}")
+
+    def nest(self, levels: int = 1) -> None:
+        """Enter `levels` more constructs; callers restore `depth` on leaving."""
+        self.depth += levels
+        if self.depth > self.reach:
+            self.reach = self.depth
+        if self.reach > MAX_NESTING:
+            self.fail(f"nesting deeper than {MAX_NESTING}")
+
+    def chain(self, first, ops: tuple, link):
+        """A left-associative chain: `first(self)`, then, while the next
+        token is one of `ops`, `node = link(self, node)`.
+
+        Each link puts the operands before it one level deeper, before
+        the link reads its own; a link reads its operands at the chain's
+        depth unless it nests them.
+        """
+        outer, self.reach = self.reach, self.depth
+        node = first(self)
+        while self.peek() in ops:
+            self.reach += 1
+            self.nest(0)  # checks the bound
+            node = link(self, node)
+        if outer > self.reach:
+            self.reach = outer
+        return node
+
+    def fail(self, message: str, at: Optional[int] = None) -> NoReturn:
+        """Raise a ParseError at token `at`, by default the next one; the
+        offset of the end of the text when there is no such token."""
+        k = self.at if at is None else at
+        pos = len(self.text)
+        found = self.pattern.finditer(self.text)
+        if self.pattern.groups:
+            found = (m for m in found if m.group(1))
+        for i, m in enumerate(found):
+            if i == k:
+                pos = m.start()
+                break
+        raise ParseError(f"{message} in {excerpt(self.text, pos)}", pos)
 
 
 def source_lines(text: str) -> Iterator[str]:

@@ -25,8 +25,10 @@ Library rules and scenario cells are written in one line shape,
 <W | N> -> <E | S>`. Each line is matched whole against its shape (a
 wire line has its own), and only the four border fields, through one
 field reader, and a rule's where clause go through the expression
-grammar, which rejects a bad character as it reads and bounds each path
-through each of them on its own. Scenario text writes every shared
+grammar. It reads their tokens through a grid.Cursor, which rejects a
+bad character as it is read, bounds each path through each field and
+clause on its own, and reports each error with its offset and a short
+excerpt. Digits are ASCII. Scenario text writes every shared
 border twice and repeats each datum kept so far in every later set, so
 parsing shares equal data: within one parse_scenario call, each
 distinct field text is parsed once, set items are keyed by their text,
@@ -45,7 +47,7 @@ from __future__ import annotations
 import re
 from typing import Collection, Iterable, Iterator, Mapping, Optional, Union
 
-from .grid import MAX_NESTING, Budget, Pos, corpus_text, record, source_lines
+from .grid import Budget, Cursor, Pos, corpus_text, excerpt, record, source_lines
 
 
 # ---------------------------------------------------------------------------
@@ -582,11 +584,12 @@ def complete_scenario(
 # ---------------------------------------------------------------------------
 # Text formats
 
-# A name, a number, '!=', or any other character on its own.
-_TOKEN = re.compile(r"!=|[A-Za-z][A-Za-z0-9_]*|\d+|\S")
+# A name, a number, '!=', or any other character on its own but a blank.
+# Digits are ASCII.
+_TOKEN = re.compile(r"!=|[A-Za-z][A-Za-z0-9_]*|[0-9]+|\S")
 _KEYWORDS = frozenset({"module", "cell", "wire", "where", "in", "min", "reconstructed"})
-_NAME = r"[A-Za-z][A-Za-z0-9_]*|\d+"  # a module name
-_POS = r"\(\s*(\d+)\s*,\s*(\d+)\s*\)"
+_NAME = r"[A-Za-z][A-Za-z0-9_]*|[0-9]+"  # a module name
+_POS = r"\(\s*([0-9]+)\s*,\s*([0-9]+)\s*\)"
 # The four border fields of a cell or a rule. A field runs to the first
 # '|' or '>' after its '<' or '|'.
 _BORDERS = r"<([^|]*)\|([^>]*)>\s*->\s*<([^|]*)\|([^>]*)>"
@@ -611,57 +614,7 @@ _Shared = tuple[dict[str, Datum], dict[Datum, Datum]]
 _UNSEEN = object()
 
 
-class _Tokens:
-    """The tokens of one border field, where clause or set item, and a cursor.
-
-    `shared` holds parse_scenario's tables of set data (see _Shared).
-    With them, a flat set display (see _SET_TOKEN) is one token, read by
-    _flat_set. Other sets, and every set of a module library, which has
-    no tables, are read bracket by bracket, their items without tables.
-
-    The parser bounds nesting per path as it reads. `depth` counts the
-    constructs open at the cursor: '(' (also after min), '{' and an
-    operator's right operand. `reach` is the deepest path so far in the
-    tree of the sum being read; each operator puts the operands before it
-    one level deeper. Both stay within MAX_NESTING, and so parsing,
-    evaluation and hashing of the text's data stay within the recursion
-    limit.
-    """
-
-    def __init__(self, line: str, shared: Optional[_Shared] = None) -> None:
-        self.items = (_TOKEN if shared is None else _SET_TOKEN).findall(line)
-        self.line = line
-        self.shared = shared
-        self.at = 0
-        self.depth = self.reach = 0
-
-    def nest(self, levels: int = 1) -> None:
-        """Enter `levels` more constructs; callers restore `depth` on leaving."""
-        self.depth += levels
-        if self.depth > self.reach:
-            self.reach = self.depth
-        if self.reach > MAX_NESTING:
-            raise ValueError(f"nesting deeper than {MAX_NESTING} in {self.line!r}")
-
-    def end(self) -> None:
-        """Raise ValueError unless every token has been read."""
-        if self.at < len(self.items):
-            raise ValueError(f"unexpected {self.items[self.at]!r} in {self.line!r}")
-
-    def peek(self) -> Optional[str]:
-        return self.items[self.at] if self.at < len(self.items) else None
-
-    def take(self, expected: Optional[str] = None) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise ValueError("unexpected end of line")
-        if expected is not None and tok != expected:
-            raise ValueError(f"expected {expected!r}, got {tok!r}")
-        self.at += 1
-        return tok
-
-
-def _flat_set(tok: str, t: _Tokens) -> frozenset:
+def _flat_set(tok: str, t: Cursor) -> frozenset:
     """The set a flat set token displays, looked up by the token's text.
 
     A set not seen yet is cut into items at the commas outside
@@ -679,22 +632,22 @@ def _flat_set(tok: str, t: _Tokens) -> frozenset:
         parts = _ITEM_COMMA.split(tok[1:-1]) if tok[1:-1].strip() else []
         for text in parts:
             if text not in texts:
-                item = _Tokens(text)
+                item = Cursor(_TOKEN, text)
                 e = _parse_sum(item)
                 item.end()
-                d = _ground(e, t.line)
+                d = _ground(e, text)
                 texts[text] = data.setdefault(d, d)
         s = texts[tok] = frozenset([texts[text] for text in parts])
     return s
 
 
-def _parse_atom(t: _Tokens) -> DExpr:
+def _parse_atom(t: Cursor) -> DExpr:
     tok = t.take()
     if tok == "_":
         return None
     if tok == "?":
         return tok
-    if tok.isdecimal():
+    if tok.isascii() and tok.isdecimal():
         return int(tok)
     if tok == "min" and t.peek() == "(":
         return MinOf(_parse_atom(t))
@@ -722,14 +675,14 @@ def _parse_atom(t: _Tokens) -> DExpr:
         return SetDisplay(tuple(items))
     if tok[0].isascii() and tok[0].isalpha():
         if tok in _KEYWORDS:
-            raise ValueError(f"keyword {tok!r} cannot name data")
+            t.fail(f"keyword {tok!r} cannot name data", t.at - 1)
         if tok in _VAR_NAMES:
             return VarRef(tok)
         return tok
-    raise ValueError(f"unexpected token {tok!r}")
+    t.fail(f"unexpected {tok!r}", t.at - 1)
 
 
-def _parse_unit(t: _Tokens) -> DExpr:
+def _parse_unit(t: Cursor) -> DExpr:
     first = _parse_atom(t)
     if t.peek() != "^":
         return first
@@ -740,24 +693,29 @@ def _parse_unit(t: _Tokens) -> DExpr:
     return StreamExpr(tuple(items))
 
 
-def _parse_sum(t: _Tokens) -> DExpr:
-    outer, t.reach = t.reach, t.depth
-    out = _parse_unit(t)
-    while t.peek() in ("+", "-"):
-        op = t.take()
-        t.reach += 1
-        t.nest()
-        out = BinOp(op, out, _parse_unit(t))
-        t.depth -= 1
-    if outer > t.reach:
-        t.reach = outer
-    return out
+def _parse_sum(t: Cursor) -> DExpr:
+    return t.chain(_parse_unit, ("+", "-"), _binop)
+
+
+def _binop(t: Cursor, left: DExpr) -> DExpr:
+    op = t.take()
+    t.nest()
+    right = _parse_unit(t)
+    t.depth -= 1
+    return BinOp(op, left, right)
 
 
 def _read_field(field: str, shared: Optional[_Shared] = None) -> DExpr:
     """One whole border field of a library rule or a scenario cell; an
-    empty one is blank."""
-    t = _Tokens(field, shared)
+    empty one is blank.
+
+    With parse_scenario's tables of set data (see _Shared), a flat set
+    display is one token (see _SET_TOKEN), read by _flat_set through
+    the cursor's `shared`. Other sets, and every set of a module library,
+    which has no tables, are read bracket by bracket.
+    """
+    t = Cursor(_TOKEN if shared is None else _SET_TOKEN, field)
+    t.shared = shared
     if t.peek() is None:
         return None
     e = _parse_sum(t)
@@ -768,13 +726,13 @@ def _read_field(field: str, shared: Optional[_Shared] = None) -> DExpr:
     return e
 
 
-def _parse_guard(t: _Tokens) -> Guard:
+def _parse_guard(t: Cursor) -> Guard:
     # Guard operands use explicit parens for pairs; a bare comma would
     # be read as the separator between guard clauses.
     left = _parse_sum(t)
     op = t.take()
     if op not in ("in", "=", "!="):
-        raise ValueError(f"expected a guard operator, got {op!r}")
+        t.fail(f"expected a guard operator, got {op!r}", t.at - 1)
     return Guard(op, left, _parse_sum(t))
 
 
@@ -788,14 +746,14 @@ def parse_module_library(text: str) -> tuple[DataModule, ...]:
     for line in source_lines(text):
         m = _RULE.fullmatch(line)
         if m is None:
-            raise ValueError(f"unrecognized library line: {line!r}")
+            raise ValueError(f"unrecognized library line: {excerpt(line, 0)}")
         name, tag, *borders, where = m.groups()
         if tag:
             marked.add(name)
         west, north, east, south = map(_read_field, borders)
         guards: list[Guard] = []
         if where is not None:
-            t = _Tokens(where)
+            t = Cursor(_TOKEN, where)
             guards.append(_parse_guard(t))
             while t.peek() == ",":
                 t.take(",")
@@ -869,11 +827,11 @@ def format_module_library(lib: Iterable[DataModule]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _ground(e: DExpr, line: str) -> Datum:
+def _ground(e: DExpr, text: str) -> Datum:
     try:
         return eval_dexpr(e, {})
     except _EvalFail as exc:
-        raise ValueError(f"scenario borders must be concrete in {line!r}: {exc}")
+        raise ValueError(f"scenario borders must be concrete in {excerpt(text, 0)}: {exc}")
 
 
 def parse_scenario(text: str) -> DataScenario:
@@ -905,7 +863,7 @@ def parse_scenario(text: str) -> DataScenario:
             continue
         m = _WIRE.fullmatch(line)
         if m is None:
-            raise ValueError(f"unrecognized scenario line: {line!r}")
+            raise ValueError(f"unrecognized scenario line: {excerpt(line, 0)}")
         r, c, r2, c2 = map(int, m.groups())
         wires.append(((r, c), (r2, c2)))
     return DataScenario(cells=tuple(cells), wiring=tuple(wires))

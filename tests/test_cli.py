@@ -399,6 +399,24 @@ class TestDeepNesting:
         assert go("solve", "--file", str(path), "--max-cells", "2") == (2, "")
         assert capsys.readouterr().err.startswith("error: bad equation file")
 
+    @pytest.mark.parametrize(
+        "link", [" (always) a", " *(always)"], ids=["compose-chains", "star-chains"]
+    )
+    def test_chains_nested_in_chains(self, link, tmp_path):
+        # 49 groups of 49 links: 98 levels counted top-down, but each chain
+        # is the first operand of the next, so the tree is 2,401 deep.
+        tower = "(" * 49 + "a" + (link * 49 + ")") * 49
+        path = tmp_path / "tower.t2d"
+        path.write_text(f"X = {tower}\n")
+        for argv, what in (
+            (("eval", "--expr", tower), "expression"),
+            (("solve", "--file", str(path)), f"equation file {str(path)!r}"),
+        ):
+            res = python("-m", "gridlang.cli", *argv, "--max-cells", "2")
+            assert (res.returncode, res.stdout) == (2, "")
+            assert res.stderr.startswith(f"error: bad {what}: nesting deeper than 100")
+            assert "Traceback" not in res.stderr and len(res.stderr) < 1024
+
     def test_deep_scenario_field(self, tmp_path, capsys):
         path = tmp_path / "deep.imod"
         deep = "(" * 3000 + "a" + ")" * 3000
@@ -406,6 +424,23 @@ class TestDeepNesting:
         assert go("validate", "--modules", "protocol", "--scenario", str(path)) == (2, "")
         err = capsys.readouterr().err
         assert err.startswith("error: bad scenario") and "nesting deeper than 100" in err
+
+    def test_errors_quote_a_short_excerpt(self, tmp_path):
+        # A field 200,000 brackets deep, an unrecognized line and a field
+        # that is no datum, each 400 KB long: each message stays short.
+        deep = "(" * 200_000 + "a" + ")" * 200_000
+        for line in (
+            f"cell (0,0) SK: <{deep} | _> -> <_ | _>",
+            f"cell (0,0) SK: <_ | _> -> <_ | _> {deep}",
+            f"cell (0,0) SK: <x{'^a' * 200_000} | _> -> <_ | _>",
+        ):
+            path = tmp_path / "deep.imod"
+            path.write_text(line + "\n")
+            res = python("-m", "gridlang.cli", "validate", "--modules", "protocol",
+                         "--scenario", str(path))
+            assert (res.returncode, res.stdout) == (2, "")
+            assert res.stderr.startswith("error: bad scenario"), res.stderr[:200]
+            assert "Traceback" not in res.stderr and len(res.stderr) < 1024
 
     def test_bad_character_in_module_library(self, tmp_path, capsys):
         lib, scenario = tmp_path / "lib.imod", tmp_path / "one.imod"

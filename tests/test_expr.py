@@ -6,12 +6,15 @@ import pytest
 
 from gridlang.compose import (
     MAX_NESTING,
+    And,
     Comparison,
+    Not,
+    Or,
     ParseError,
     format_restriction,
     parse_restriction,
 )
-from gridlang.grid import Bounds, Budget, Selector, Word
+from gridlang.grid import Bounds, Budget, Selector, Word, corpus_text
 from gridlang.expr import (
     Atom,
     Compose,
@@ -29,7 +32,7 @@ from gridlang.expr import (
     parse_system,
 )
 
-from conftest import W, random_restriction, with_comments
+from conftest import W, random_edits, random_restriction, with_comments
 
 
 def random_expr(rng: random.Random, depth: int):
@@ -47,6 +50,24 @@ def random_expr(rng: random.Random, depth: int):
             random_expr(rng, depth - 1),
         )
     return Star(random_expr(rng, depth - 1), random_restriction(rng, 2))
+
+
+def tree_depth(tree) -> int:
+    """Nodes on the longest path down an expression or restriction tree,
+    selectors left out, counted without recursion."""
+    deepest, todo = 0, [(tree, 1)]
+    while todo:
+        node, d = todo.pop()
+        deepest = max(deepest, d)
+        if isinstance(node, (Sum, And, Or)):
+            todo += [(item, d + 1) for item in node.items]
+        elif isinstance(node, Compose):
+            todo += [(node.left, d + 1), (node.restriction, d + 1), (node.right, d + 1)]
+        elif isinstance(node, Star):
+            todo += [(node.body, d + 1), (node.restriction, d + 1)]
+        elif isinstance(node, Not):
+            todo.append((node.item, d + 1))
+    return deepest
 
 
 def cmp(a: str, op: str, b: str) -> Comparison:
@@ -223,6 +244,72 @@ class TestNestingBound:
                     continue
                 break
             assert parse_restriction(format_restriction(r)) == r
+
+    def test_admitted_trees_nest_at_most_twice_the_bound(self):
+        # The bound counts brackets, negations and chain links along each
+        # path; the trees it admits here stay within 2 * MAX_NESTING + 2.
+        trees = [parse_restriction(text) for text in self.RESTRICTIONS]
+        trees += [parse_expr(text) for text in self.EXPRESSIONS]
+        rng = random.Random(20240816)
+        trees += [parse_expr(format_expr(random_expr(rng, 3))) for _ in range(200)]
+        rng = random.Random(7)
+        for _ in range(100):
+            text = format_expr(random_expr(rng, 3))
+            trees.append(deepest_admitted(parse_expr, lambda k: "(" * k + text + ")" * k))
+            inner = format_restriction(random_restriction(rng, 3))
+            trees.append(
+                deepest_admitted(parse_restriction, lambda k: "!" * k + "(" + inner + ")")
+            )
+        assert max(map(tree_depth, trees)) <= 2 * MAX_NESTING + 2
+
+
+def deepest_admitted(parse, wrap):
+    """What `parse` reads from `wrap(k)` for the largest k up to
+    MAX_NESTING that it admits."""
+    for k in range(MAX_NESTING, -1, -1):
+        try:
+            return parse(wrap(k))
+        except ParseError:
+            pass
+
+
+class TestEditedText:
+    """Seeded edits of formatted restrictions, expressions and corpus
+    systems, with a letter beyond ASCII, a Unicode blank, an Arabic-Indic
+    digit and an uppercase letter beyond ASCII: each edit parses and
+    prints back to text that parses equal, or raises ValueError."""
+
+    ALPHABET = "()!&|=<>#*+;' nsewxabc012XY-\n\t" + "é\xa0٣É"
+    CASES = 1500
+
+    def check(self, rng, bases, parse, fmt) -> None:
+        parsed = 0
+        for base in bases:
+            text = random_edits(rng, base, self.ALPHABET)
+            try:
+                tree = parse(text)
+            except ValueError:
+                continue
+            parsed += 1
+            assert parse(fmt(tree)) == tree, text
+        assert parsed > 0
+
+    def test_edited_restrictions(self):
+        rng = random.Random(2501)
+        bases = [format_restriction(random_restriction(rng, 3)) for _ in range(self.CASES)]
+        self.check(rng, bases, parse_restriction, format_restriction)
+
+    def test_edited_expressions(self):
+        rng = random.Random(2502)
+        bases = [format_expr(random_expr(rng, 3)) for _ in range(self.CASES)]
+        self.check(rng, bases, parse_expr, format_expr)
+
+    @pytest.mark.parametrize(
+        "name", ["diamonds.t2d", "f02ac-general.t2d", "f02ac.t2d", "mutual.t2d", "squares.t2d"]
+    )
+    def test_edited_corpus_systems(self, name):
+        bases = [corpus_text(name)] * self.CASES
+        self.check(random.Random(2503), bases, parse_system, format_system)
 
 
 class TestClassify:

@@ -471,7 +471,8 @@ class TestParsing:
 
     def test_edited_scenarios_with_other_characters_parse_or_raise(self):
         # A letter beyond ASCII, a Unicode blank, and an Arabic-Indic
-        # digit, which `\d` and int() read as 3.
+        # digit, which str.isdecimal() and int() read as 3; digits of the
+        # syntax are ASCII.
         rng = random.Random(4104)
         base = format_scenario(SCENARIO)
         parsed = 0
@@ -504,6 +505,24 @@ class TestParsing:
         # A Unicode blank separates tokens, inside a flat set too.
         cell = parse_scenario("cell (0,0) 0: <{a,\xa0b} | _> -> <_ | _>").cells[0][2]
         assert cell.west == ds("a", "b")
+
+    def test_non_ascii_digits_are_rejected(self):
+        for line in (
+            "cell (٣,0) ٣: <٣ | {٣,a}> -> <_ | _>",
+            "cell (٣,0) 0: <_ | _> -> <_ | _>",
+            "cell (0,0) ٣: <_ | _> -> <_ | _>",
+            "cell (0,0) 0: <_ | (٣,a)> -> <_ | _>",
+            "cell (0,0) 0: <{٣,a} | _> -> <_ | _>",
+        ):
+            with pytest.raises(ValueError, match="٣"):
+                parse_scenario(line)
+        for line in (
+            "module ٣: <_ | _> -> <_ | _>",
+            "module Q: <٣ | _> -> <_ | _>",
+            "module Q: <x | _> -> <_ | _> where x in {٣,a}",
+        ):
+            with pytest.raises(ValueError, match="٣"):
+                parse_module_library(line)
 
     def test_edited_libraries_parse_or_raise(self):
         rng = random.Random(4102)
