@@ -49,6 +49,14 @@ from .grid import (
 )
 
 
+def _check_label(label: str) -> None:
+    # '--' would start a comment in the text format.
+    if not isinstance(label, str) or not label or "--" in label or any(
+        ch.isspace() or ch in "{},=" for ch in label
+    ):
+        raise ValueError(f"bad border label {label!r}")
+
+
 @record
 class Tile:
     """A letter with west, north, east, south border labels."""
@@ -63,11 +71,7 @@ class Tile:
         if not _good_letter(self.letter):
             raise ValueError(f"bad tile letter {self.letter!r}")
         for side in (self.west, self.north, self.east, self.south):
-            # '--' would start a comment in the text format.
-            if not isinstance(side, str) or not side or "--" in side or any(
-                ch.isspace() or ch in "{},=" for ch in side
-            ):
-                raise ValueError(f"bad border label {side!r}")
+            _check_label(side)
 
     def key(self) -> tuple[str, str, str, str, str]:
         return (self.letter, self.west, self.north, self.east, self.south)
@@ -89,7 +93,10 @@ class TileSystem:
         ordered = tuple(sorted(set(self.tiles), key=Tile.key))
         object.__setattr__(self, "tiles", ordered)
         for name in ("external_west", "external_north", "external_east", "external_south"):
-            object.__setattr__(self, name, frozenset(getattr(self, name)))
+            labels = frozenset(getattr(self, name))
+            for label in labels:
+                _check_label(label)
+            object.__setattr__(self, name, labels)
 
     @cached_property
     def letters(self) -> frozenset[str]:
@@ -109,10 +116,11 @@ class TileSystem:
         A west or north of None stands for an empty neighbour, so the
         tile's border there must be admissible. On the last row or column
         the south or east border faces outside and must be admissible
-        too, and the outgoing east is None because the next cell starts
-        a new row. An empty cell has the one outcome (None, None) where
-        the borders facing it are admissible. Keys without outcomes are
-        left out.
+        too. There the outgoing south or east is None: no cell below the
+        last row reads a south, and the cell after the last column starts
+        a new row. An empty cell has the one outcome (None, None) where the
+        borders facing it are admissible. Keys without outcomes are left
+        out.
         """
         ext_w, ext_n = self.external_west, self.external_north
         ext_e, ext_s = self.external_east, self.external_south
@@ -131,7 +139,7 @@ class TileSystem:
             for key in keys:
                 west, north, last_row, last_col = key
                 outcomes = {
-                    (t.south, None if last_col else t.east)
+                    (None if last_row else t.south, None if last_col else t.east)
                     for t in group
                     if (t.west in ext_w if west is None else t.west == west)
                     and (t.north in ext_n if north is None else t.north == north)
@@ -278,16 +286,16 @@ def parse_tile_system(text: str) -> TileSystem:
 # profiles that some tile assignment of the prefix leaves open. A profile
 # is sparse, as in broken-profile dynamic programming: the south labels
 # still to be read, as a flat tuple (col, label, col, label, ...) that
-# lists only the columns whose latest cell is lettered, in walk order from
-# the current column, plus the east label facing the next cell (None
-# after an empty cell or at the end of a row). A profile never names its row, so
-# steps at one column are shared across rows. _step, with the
-# TileSystem.placements table it reads, is the one place where borders
-# are matched and boundary labels checked; enumeration, counting, witness
-# search and acceptance all drive it. Enumeration and witness search step
-# whole rows: they list a row's complete fillings once per (row, state at
-# the row's start, cells left) by walking its cells, and join the rows of
-# a word from those tables.
+# lists only the columns whose latest cell is lettered and above the last
+# row, in walk order from the current column, plus the east label facing
+# the next cell (None after an empty cell or at the end of a row). A
+# profile never names its row, so steps at one column are shared across
+# rows. _step, with the TileSystem.placements table it reads, is the one
+# place where borders are matched and boundary labels checked;
+# enumeration, counting, witness search and acceptance all drive it.
+# Enumeration and witness search step whole rows: they list a row's
+# complete fillings once per (row, state at the row's start, cells left)
+# by walking its cells, and join the rows of a word from those tables.
 
 Profile = tuple[tuple, Optional[str]]  # ((col, south, col, south, ...), east)
 Frontier = frozenset[Profile]
@@ -400,10 +408,11 @@ def _walk(
     sorted order if there is room, then empty) that leave a non-empty
     frontier, each as the cell it fills (None for empty) and the state
     it leads to. A state, (column 0 used, frontier), holds no cell count:
-    the caller says if a letter fits under max_cells, and cuts a state
-    reaching row 1 with no cells. Each call charges len(choices) budget
-    units with room, else 1, and cuts a child that must leave column 0
-    bare. Steps are memoized by (column, last row, frontier, room), the
+    the caller says if a letter fits under max_cells. The walk cuts both
+    empty edges: a state that reaches row 1 with no cells has no
+    children, and a child that must leave column 0 bare is dropped.
+    Every other call charges len(choices) budget units with room, else
+    1. Steps are memoized by (column, last row, frontier, room), the
     cell's row filled in when a step is used, so rows share them. When
     `brief` is given, the steps no later row reads go there instead:
     those of the last row, whose keys no other row has, and of the row
@@ -413,13 +422,14 @@ def _walk(
     for their cell only.
     """
     rows, cols = bounds.max_rows, bounds.max_cols
-    done = _START  # no frontier is read after the last cell
     choices = (*sorted(f.letters), None)
     steps: dict[tuple[int, bool, Frontier, bool], list[tuple[Optional[str], Frontier]]] = {}
     if brief is None:
         brief = steps
 
     def children(k: int, state: State, room: bool) -> list[tuple[Optional[Cell], State]]:
+        if k == cols and state == (False, _START):
+            return []  # row 0 stayed empty: each letter there left a south
         col0, frontier = state
         r, c = divmod(k, cols)
         last_row = r == rows - 1
@@ -430,7 +440,7 @@ def _walk(
         if found is None:
             last_col = c == cols - 1
             found = [
-                (choice, done if last_row and last_col else reached)
+                (choice, reached)
                 for choice in (choices if room else (None,))
                 if (reached := _step(f, frontier, c, choice, last_row, last_col))
             ]
@@ -468,8 +478,8 @@ def _search(f: TileSystem, bounds: Bounds, budget: Budget) -> Iterator[Word]:
     joined: row-major, normalized, duplicate-free and lettered by tiles,
     so it makes a trusted word, primed with its rendering: the drawn rows
     cut to the word's width, down to its last lettered row. The walk
-    cuts a last row that would leave column 0 empty and the search cuts
-    an empty row 0, so no finished word needs a check.
+    cuts an empty row 0 and a last row that would leave column 0 empty,
+    so no finished word needs a check.
     """
     rows, cols, max_cells = bounds.max_rows, bounds.max_cols, bounds.max_cells
     children = _walk(f, bounds, budget)
@@ -541,8 +551,6 @@ def _search(f: TileSystem, bounds: Bounds, budget: Budget) -> Iterator[Word]:
         r = len(frames)  # the row below this filling
         if n:
             cells, height, width = cells + row_cells, r, max(width, right)
-        elif r == 1:
-            continue  # row 0 stayed empty
         del lines[r - 1 :]
         lines.append(drawn)
         below = fillings(r, state, left - n)
@@ -592,8 +600,7 @@ def count_language(f: TileSystem, bounds: Bounds) -> int:
     reads live for their cell only. The walk charges the budget per
     merged state, and this caller applies the cell-count rules: a letter
     shifts the counts up one, dropping the one past max_cells; an empty
-    cell keeps them; row 1 clears the zero-cell count; room is a path
-    under max_cells cells.
+    cell keeps them; room is a path under max_cells cells.
     """
     rows, cols, max_cells = bounds.max_rows, bounds.max_cols, bounds.max_cells
     # No count exceeds the ways to letter that many cells of the box.
@@ -604,8 +611,6 @@ def count_language(f: TileSystem, bounds: Bounds) -> int:
     children = _walk(f, bounds, budget, brief=brief)
     states = {(False, _START): 1}
     for k in range(rows * cols):
-        if k == cols:  # row 0 stayed empty: clear the zero-cell counts
-            states = {s: v >> width << width for s, v in states.items() if v >> width}
         nxt: dict[State, int] = {}
         for state, vec in states.items():
             up = (vec & below_top) << width
@@ -613,7 +618,7 @@ def count_language(f: TileSystem, bounds: Bounds) -> int:
                 nxt[child] = nxt.get(child, 0) + (vec if cell is None else up)
         states = nxt
         brief.clear()  # no later cell reads these steps
-    total = sum(vec for (col0, _), vec in states.items() if col0)
+    total = sum(states.values())
     return sum(total >> n * width & (1 << width) - 1 for n in range(max_cells + 1))
 
 

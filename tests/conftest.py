@@ -30,14 +30,16 @@ def random_word(rng: random.Random, size: int = 5, letters: str = "ab") -> Word:
     return Word.from_map(cells)
 
 
-def random_tile_system(rng: random.Random, letters: str = "ab") -> TileSystem:
-    """2 to 6 tiles over two labels, several possibly sharing a letter,
-    and one or both labels admissible per direction."""
+def random_tile_system(
+    rng: random.Random, letters: str = "ab", labels: str = "01"
+) -> TileSystem:
+    """2 to 6 tiles over `labels`, several possibly sharing a letter, and
+    one to all of the labels admissible per direction."""
     tiles = tuple(
-        Tile(rng.choice(letters), *(rng.choice("01") for _ in range(4)))
+        Tile(rng.choice(letters), *(rng.choice(labels) for _ in range(4)))
         for _ in range(rng.randint(2, 6))
     )
-    ext = (frozenset(rng.sample("01", rng.randint(1, 2))) for _ in range(4))
+    ext = (frozenset(rng.sample(labels, rng.randint(1, len(labels)))) for _ in range(4))
     return TileSystem(tiles, *ext)
 
 

@@ -258,6 +258,13 @@ class TestEnum:
         code, _ = go("enum", "--sats", "ZZZ", "--max-cells", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("labels", ["{0 1}", "{0,}", "{0,=}"])
+    def test_bad_accept_label_is_a_usage_error(self, labels, tmp_path, capsys):
+        path = tmp_path / "typo.sats"
+        path.write_text(f"tile a w=0 n=0 e=0 s=0\naccept w={labels} n={{0}} e={{0}} s={{0}}\n")
+        assert go("enum", "--sats", str(path), "--max-cells", "2") == (2, "")
+        assert "bad border label" in capsys.readouterr().err
+
     @pytest.mark.parametrize("verb", [("enum", "--max-cells", "1"), ("project-nfa",)])
     def test_unreadable_sats_path_is_a_usage_error(self, verb, tmp_path, capsys):
         assert go(verb[0], "--sats", str(tmp_path), *verb[1:]) == (2, "")
@@ -693,6 +700,16 @@ class TestWideBoxes:
         res = self.run_capped("diff", "--system", "squares", *self.ONE_ROW)
         assert (res.returncode, res.stderr) == (1, "")
         assert res.stdout.startswith("solver: 1 words\ntiles: 1 words\ncommon: 0\n")
+
+    def test_one_row_count(self):
+        # A one-row box counts in time linear in its width: the last row's
+        # south borders are checked as each tile is placed, not carried.
+        res = self.run_capped(
+            "diff", "--sats", "F0", "--system", "squares", "--max-rows", "1",
+            "--max-cols", "200", "--max-cells", "200", "--witnesses", "0",
+        )
+        assert (res.returncode, res.stderr) == (1, "")
+        assert f"tiles: {2 ** 199} words" in res.stdout.splitlines()
 
     @pytest.mark.parametrize("verb", [("enum",), ("diff", "--system", "squares")])
     def test_budget_ends_a_wide_box(self, verb):

@@ -186,6 +186,15 @@ class TestTextFormat:
         )
         assert f.external_west == frozenset()
 
+    @pytest.mark.parametrize(
+        "labels, bad", [("{0 1}", "'0 1'"), ("{0,}", "''"), ("{0,=}", "'='")],
+        ids=["missing-comma", "empty", "equals"],
+    )
+    def test_accept_labels_are_checked_like_tile_labels(self, labels, bad):
+        text = f"tile a w=0 n=0 e=0 s=0\naccept w={labels} n={{0}} e={{0}} s={{0}}\n"
+        with pytest.raises(ValueError, match=f"bad border label {bad}"):
+            parse_tile_system(text)
+
     def test_rejects(self):
         with pytest.raises(ValueError):
             parse_tile_system("")
@@ -591,6 +600,19 @@ class TestCountLanguage:
         with pytest.raises(BudgetExhausted):
             count_language(F, Bounds(4, 4, 8, node_budget=10))
 
+    @pytest.mark.parametrize(
+        "sats, box, count, spent",
+        [("F02ac.c", (4, 4, 8), 2_589, 1_376), ("F0", (1, 17, 17), 65_536, 64)],
+    )
+    def test_pinned_spend(self, sats, box, count, spent):
+        # A one-row box keeps no south border, so from column 2 on F0 has
+        # two states, an east of '0' or none, each charged for its two
+        # choices: 2 + 2 + 15 x 4 units.
+        f = parse_two_color(sats)
+        assert count_language(f, Bounds(*box, node_budget=spent)) == count
+        with pytest.raises(BudgetExhausted):
+            count_language(f, Bounds(*box, node_budget=spent - 1))
+
     def test_no_states_merge(self):
         # F0 in one row: up to the last cell the frontier records every
         # cell, so each counting state holds one cell count.
@@ -624,19 +646,42 @@ class TestSharedSteps:
     word, stand in for a step whose borders face outside."""
 
     @pytest.mark.parametrize(
-        "box",
-        [(1, 7, 4), (2, 5, 4), (6, 2, 4), (2, 12, 3)],
-        ids=["one row", "two rows", "tall", "wide"],
+        "box, labels",
+        [
+            ((1, 7, 4), "01"),
+            ((2, 5, 4), "01"),
+            ((6, 2, 4), "01"),
+            ((2, 12, 3), "01"),
+            # The last row's south borders are checked as its tiles are
+            # placed and then forgotten; with four labels a south kept in
+            # one row and dropped in another changes the count.
+            ((1, 8, 8), "0123"),
+            ((2, 5, 6), "0123"),
+        ],
+        ids=[
+            "one row", "two rows", "tall", "wide", "one row, four labels", "two rows, four labels"
+        ],
     )
-    def test_count_matches_enumeration_random_systems(self, box):
+    def test_count_matches_enumeration_random_systems(self, box, labels):
         rng = random.Random(2300 + box[0] * 100 + box[1])
         bounds = Bounds(*box)
         for _ in range(20):
-            f = random_tile_system(rng)
+            f = random_tile_system(rng, labels=labels)
             words = enumerate_language(f, bounds)
             assert count_language(f, bounds) == len(words), f
             steps: dict = {}
             assert all(word_accepted(f, w, steps=steps) for w in words), f
+
+    @pytest.mark.parametrize("box", [(1, 5, 5), (2, 2, 4)], ids=["one row", "two rows"])
+    def test_four_labels_match_brute_force(self, box):
+        # A last-row south that skipped its external_south check would
+        # pass every check of the walk against itself.
+        rng = random.Random(2650 + box[0] * 100 + box[1])
+        for _ in range(20):
+            f = random_tile_system(rng, labels="0123")
+            words = brute_language(f, *box)
+            assert enumerate_language(f, Bounds(*box)) == words, f
+            assert count_language(f, Bounds(*box)) == len(words), f
 
     def test_shared_acceptance_matches_word_by_word(self):
         rng = random.Random(2323)
