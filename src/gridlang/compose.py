@@ -22,9 +22,10 @@ two closed regions share at least one lattice point, cells stay
 disjoint, and the restriction holds. Both words are bitboards of one
 frame as wide as the bounds, so an offset is one shift and each test is
 arithmetic on shifted masks: '=' is ==, '<' and '>' are & ~, '#' and
-overlap are &. Each call compiles the restriction into a plan: numbered
+overlap are &. The restriction is compiled into a plan: numbered
 selectors, the conjunction-spine comparisons, and one predicate over the
-masks. Candidate offsets come from the spine, or else from contact: a
+masks. A Context keeps the plan and the right operand, sorted by size,
+from one call to the next; a solve keeps one per expression node. Candidate offsets come from the spine, or else from contact: a
 spine '=' gives the one offset low(x) - low(y) of the least bits, all
 '<' one AND of shifted masks, all '>' another, each '#' its offset set.
 Restricted iteration (star) closes a language under composing with it
@@ -45,6 +46,8 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
+from itertools import islice
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Union
 
 from .grid import (
@@ -247,10 +250,26 @@ class _Plan:
         if isinstance(r, Not):
             item = self._compile(r.item, False)
             return lambda a, b, sv, sw: not item(a, b, sv, sw)
-        if isinstance(r, (And, Or)):
-            join, spine = (all, on_spine) if isinstance(r, And) else (any, False)
-            items = tuple(self._compile(item, spine) for item in r.items)
-            return lambda a, b, sv, sw: join(f(a, b, sv, sw) for f in items)
+        if isinstance(r, And):
+            items = tuple(self._compile(item, on_spine) for item in r.items)
+
+            def every(a, b, sv, sw):
+                for f in items:
+                    if not f(a, b, sv, sw):
+                        return False
+                return True
+
+            return every
+        if isinstance(r, Or):
+            items = tuple(self._compile(item, False) for item in r.items)
+
+            def some(a, b, sv, sw):
+                for f in items:
+                    if f(a, b, sv, sw):
+                        return True
+                return False
+
+            return some
         if not isinstance(r, Comparison):
             raise TypeError(f"not a restriction: {r!r}")
         for sels, sel in zip(self.sels, (r.left, r.right)):
@@ -315,23 +334,36 @@ class _Plan:
                 cands = {s for s in cands if (x << -s & y if s < 0 else x & y << s)}
         return _differences(a[-1], b[-1]) if cands is None else cands
 
-    def place(self, v: Word, a, w: Word, b) -> Iterator[Word]:
+    def place(self, v: Word, a, w: Word, b, rows: int, cols: int) -> Iterator[Word]:
         """Normalized joint placements of normalized v and w that keep
-        cells disjoint and satisfy the restriction."""
+        cells disjoint, satisfy the restriction, and span at most `rows`
+        rows and `cols` columns.
+
+        An offset is tested against that box before anything else: with
+        the right word at (dr, dc), the union shifted to row 0 has its last
+        row at max(hv, dr + hw) + max(-dr, 0), for hv and hw the two words'
+        last rows, and its last column likewise. A placement carries that
+        box, so no placed word computes its box from its cells.
+        """
         occ_v, occ_w = a[-2], b[-2]
+        _, _, hv, cv = v.bbox
+        _, _, hw, cw = w.bbox
         for s in self.offsets(a, b):
+            dr, dc = divmod(s + self.pad, self.stride)
+            dc -= self.pad
+            # Both words start at row and column 0: shift the union there.
+            sr, sc = max(-dr, 0), max(-dc, 0)
+            last_row, last_col = max(hv, dr + hw) + sr, max(cv, dc + cw) + sc
+            if last_row >= rows or last_col >= cols:
+                continue  # outside the box
             sv, sw = (-s, 0) if s < 0 else (0, s)
             if occ_v << sv & occ_w << sw or not self.holds(a, b, sv, sw):
                 continue  # overlap, or the restriction fails
-            dr, dc = divmod(s + self.pad, self.stride)
-            dc -= self.pad
             placed = [(pr + dr, pc + dc, letter) for pr, pc, letter in w.cells]
-            # Both words start at row and column 0: shift the union there.
-            sr, sc = max(-dr, 0), max(-dc, 0)
             cells = v.cells + tuple(placed) if sr == sc == 0 else [
                 (pr + sr, pc + sc, letter) for pr, pc, letter in (*v.cells, *placed)
             ]
-            yield Word._trusted(tuple(sorted(cells)))
+            yield Word._trusted(tuple(sorted(cells)), bbox=(0, 0, last_row, last_col))
 
 
 def eval_restriction(r: Restriction, v: Word, w: Word) -> bool:
@@ -354,45 +386,96 @@ def compose_words(v: Word, w: Word, r: Restriction) -> frozenset[Word]:
     a, b = plan.selections(v, 0), plan.selections(w, 1)
     if a is None or b is None:
         return frozenset()
-    return frozenset(plan.place(v, a, w, b))
+    # The union of two words that share a lattice point fits their summed extents.
+    return frozenset(plan.place(v, a, w, b, v.height + w.height, v.width + w.width))
+
+
+_SIZE = itemgetter(0)
+
+
+def _entries(words: Iterable[Word]) -> list[list]:
+    """Right operand entries [size, word, masks] of the normalized words,
+    sorted by size; masks stay False until a pair first needs them."""
+    return sorted(([len(w), normalize(w), False] for w in words), key=_SIZE)
+
+
+class Context:
+    """What composition under one restriction and bounds keeps from call to
+    call: the compiled plan, and the right operand's words as entries,
+    normalized, sorted by size, each with its masks once fetched.
+
+    A solve's `expr.Rounds` keeps one context for each composition and
+    star node and extends it by each round's new right words, so no round
+    sorts its right operand or compiles its plan again. `held` is the
+    language whose words `right` lists.
+    """
+
+    def __init__(self, r: Restriction, bounds: Bounds) -> None:
+        self.plan = _Plan(r, bounds.max_cols)
+        self.held: Optional[frozenset[Word]] = None
+        self.right: list[list] = []
+
+    def extend(self, old: frozenset[Word], new: frozenset[Word]) -> list[list]:
+        """Hold `new`, a superset of `old`, and return the entries of its
+        words outside `old`.
+
+        `old` is what the context holds, unless this is its first use or
+        a round cut short by the budget extended it further: then its
+        entries are built from `old` again.
+        """
+        if self.held is not old:
+            self.right = _entries(old)
+        fresh = _entries(new - old)
+        if fresh:  # two sorted runs: the sort merges them
+            self.right = sorted(self.right + fresh, key=_SIZE)
+        self.held = new
+        return fresh
 
 
 def compose_langs(
     l1: Iterable[Word],
-    l2: Iterable[Word],
-    r: Restriction,
+    l2: Iterable,
+    r: Union[Restriction, Context],
     bounds: Bounds,
     budget: Budget,
 ) -> frozenset[Word]:
     """Pointwise composition of two finite languages, filtered to bounds.
+
+    `r` is the restriction, or a Context made for it and `bounds`; then
+    `l2` lists entries of that context (its `right`, or what its `extend`
+    returned), so nothing is normalized, sorted or compiled again.
+    Otherwise the call compiles the plan and sorts the words of `l2` for
+    itself, as a context would, and drops them when it returns.
 
     Every pair is charged to `budget`, which raises BudgetExhausted once
     it runs out. A pair is placed, in the frame `bounds.max_cols` wide,
     only when both words fit the bounds and their cells together do not
     exceed `bounds.max_cells`: a placement holds both words' cells, so
     it would fail the bounds too. A left word that fits beside some right
-    word fetches its masks once, a right word when a pair first needs them.
+    word fetches its masks once, a right word when a pair first needs
+    them, and its entry keeps them.
     """
-    plan = _Plan(r, bounds.max_cols)
-    right = sorted((normalize(w) for w in l2), key=len)
-    sizes = [len(w) for w in right]
-    fetched: list = [False] * len(right)  # False: not fetched yet
+    if isinstance(r, Context):
+        plan, right = r.plan, l2
+    else:
+        plan, right = _Plan(r, bounds.max_cols), _entries(l2)
+    rows, cols = bounds.max_rows, bounds.max_cols
     out: set[Word] = set()
     for v in l1:
         budget.charge(len(right))
-        cut = bisect_right(sizes, bounds.max_cells - len(v))
+        cut = bisect_right(right, bounds.max_cells - len(v), key=_SIZE)
         if not cut or not bounds.admits(v):
             continue
         v = normalize(v)
         a = plan.selections(v, 0)
         if a is None:
             continue
-        for k in range(cut):
-            w, b = right[k], fetched[k]
+        for entry in islice(right, cut):
+            _, w, b = entry
             if b is False:
-                b = fetched[k] = plan.selections(w, 1) if bounds.admits(w) else None
+                b = entry[2] = plan.selections(w, 1) if bounds.admits(w) else None
             if b is not None:
-                out.update(filter(bounds.admits, plan.place(v, a, w, b)))
+                out.update(plan.place(v, a, w, b, rows, cols))
     return frozenset(out)
 
 
@@ -402,6 +485,7 @@ def star(
     bounds: Bounds,
     budget: Budget,
     closed: frozenset[Word] = frozenset(),
+    context: Optional[Context] = None,
 ) -> frozenset[Word]:
     """Least language containing l and closed under self-composition.
 
@@ -416,13 +500,18 @@ def star(
     `closed` resumes an earlier closure: it must be the star of some
     subset of l under the same restriction and bounds, so its own pairs
     are exhausted and only l's words outside it start the frontier.
+    `context`, made for the same restriction and bounds, holds the known
+    words as the right operand, and each round extends it by the
+    frontier. A context that holds `closed`, as after the call that
+    returned it, resumes without sorting `closed` again.
     """
-    base = frozenset(normalize(v) for v in l if bounds.admits(v))
-    frontier = base - closed
-    known: set[Word] = set(closed) | frontier
+    ctx = Context(r, bounds) if context is None else context
+    known = frozenset(closed)
+    frontier = frozenset(normalize(v) for v in l if bounds.admits(v)) - known
     while frontier:
-        grown = set(compose_langs(frontier, known, r, bounds, budget))
-        grown |= compose_langs(known - frontier, frontier, r, bounds, budget)
+        fresh = ctx.extend(known, known | frontier)
+        grown = compose_langs(frontier, ctx.right, ctx, bounds, budget)
+        grown |= compose_langs(known, fresh, ctx, bounds, budget)
+        known = ctx.held
         frontier = frozenset(grown - known)
-        known |= frontier
-    return frozenset(known)
+    return known

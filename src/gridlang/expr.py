@@ -34,6 +34,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Union
 from .compose import (
     TOKEN,
     VAR_NAME,
+    Context,
     ParseError,  # raised through Cursor.fail; kept importable from `expr`
     Restriction,
     compose_langs,
@@ -286,19 +287,31 @@ def format_system(sys: EquationSystem) -> str:
 
 class Rounds:
     """Each expression node's language from the last completed round and
-    from the round in progress, keyed by the node.
+    from the round in progress, keyed by the node, and each composition
+    and star node's composition context.
 
     Equal nodes share one entry, so a repeated subexpression is evaluated
-    once per round.
+    once per round. A context (compose.Context) holds the node's compiled
+    plan and its right operand, sorted by size with each word's masks:
+    a composition's right language, a star's known words. Each round
+    extends it by the new words only. Values and contexts alike assume
+    one bounds for every round.
     """
 
     def __init__(self) -> None:
         self.done: dict[Expr, frozenset[Word]] = {}
         self.current: dict[Expr, frozenset[Word]] = {}
+        self.contexts: dict[Expr, Context] = {}
 
     def commit(self) -> None:
         """Make the round in progress the last completed one."""
         self.done, self.current = self.current, {}
+
+    def context(self, e: Union[Compose, Star], bounds: Bounds) -> Context:
+        ctx = self.contexts.get(e)
+        if ctx is None:
+            ctx = self.contexts[e] = Context(e.restriction, bounds)
+        return ctx
 
 
 def eval_expr(
@@ -312,9 +325,12 @@ def eval_expr(
 
     Evaluation is semi-naive over `rounds`: a node that has a value from
     the last completed round only adds what the words new since then
-    produce. A composition L (r) R adds the pairs of new left words with
+    produce. A variable normalizes and admits only its words outside its
+    old value. A composition L (r) R adds the pairs of new left words with
     all right words and of old left words with new right words, and a
-    star resumes from its old closure. This is exact when no variable
+    star resumes from its old closure; both compose through the node's
+    context in `rounds`, which holds the right words sorted from earlier
+    rounds and takes in only the new ones. This is exact when no variable
     lost a word since that round, as in a solve's rounds from the empty
     environment, since every operator is monotone. Without `rounds`,
     evaluation is a first round, in which every word is new. Every
@@ -332,9 +348,8 @@ def eval_expr(
     elif isinstance(e, Var):
         if e.name not in env:
             raise ValueError(f"unbound variable {e.name}")
-        value = frozenset(
-            w for w in map(normalize, env[e.name]) if bounds.admits(w)
-        )
+        fresh = frozenset(env[e.name]) - old
+        value = old | frozenset(w for w in map(normalize, fresh) if bounds.admits(w))
     elif isinstance(e, Sum):
         value = frozenset().union(
             *(eval_expr(item, env, bounds, budget, rounds) for item in e.items)
@@ -344,15 +359,17 @@ def eval_expr(
         right = eval_expr(e.right, env, bounds, budget, rounds)
         old_left = rounds.done.get(e.left, frozenset())
         old_right = rounds.done.get(e.right, frozenset())
-        r = e.restriction
+        ctx = rounds.context(e, bounds)
+        fresh = ctx.extend(old_right, right)
         value = (
             old
-            | compose_langs(left - old_left, right, r, bounds, budget)
-            | compose_langs(old_left, right - old_right, r, bounds, budget)
+            | compose_langs(left - old_left, ctx.right, ctx, bounds, budget)
+            | compose_langs(old_left, fresh, ctx, bounds, budget)
         )
     elif isinstance(e, Star):
         base = eval_expr(e.body, env, bounds, budget, rounds)
-        value = star(base, e.restriction, bounds, budget, closed=old)
+        ctx = rounds.context(e, bounds)
+        value = star(base, e.restriction, bounds, budget, closed=old, context=ctx)
     else:
         raise TypeError(f"not an expression node: {e!r}")
     rounds.current[e] = value

@@ -296,27 +296,33 @@ class Word:
 
     @classmethod
     def _trusted(
-        cls, cells: tuple[tuple[int, int, str], ...], rendering: Optional[str] = None
+        cls,
+        cells: tuple[tuple[int, int, str], ...],
+        rendering: Optional[str] = None,
+        bbox: Optional[tuple[int, int, int, int]] = None,
     ) -> "Word":
         """A word built without validation, for internal callers whose
         cells are valid by construction.
 
         Trust contract: `cells` is non-empty, sorted, free of duplicate
         positions, with integral positions and good letters, exactly as
-        `__post_init__` would leave it. A given `rendering` must equal what
-        the `rendering` property computes; it is stored, not recomputed.
+        `__post_init__` would leave it. A given `rendering` or `bbox` must
+        equal what that property computes; it is stored, not recomputed.
         Nothing is checked. Public `Word(...)` and the parsers validate.
 
         Callers: `translate` (an integral shift), the tile search in
         `tiling` (cells and drawn rows joined row by row, so in row-major
-        order), and `compose._Plan.place` (the sorted union of two valid
-        words whose occupancy masks share no bit at the offset, shifted to
-        row and column 0).
+        order, with the rendering), and `compose._Plan.place` (the sorted
+        union of two valid words whose occupancy masks share no bit at the
+        offset, shifted to row and column 0, with the box it computed from
+        the offset and the two words' boxes).
         """
         w = object.__new__(cls)
         w.__dict__["cells"] = cells
         if rendering is not None:
             w.__dict__["rendering"] = rendering
+        if bbox is not None:
+            w.__dict__["bbox"] = bbox
         return w
 
     @cached_property
@@ -330,7 +336,8 @@ class Word:
     @cached_property
     def bbox(self) -> tuple[int, int, int, int]:
         """(min_row, min_col, max_row, max_col) over occupied cells; the
-        cells are sorted, so the rows are the first and last cells'."""
+        cells are sorted, so the rows are the first and last cells'. A word
+        made by `_trusted` may hold it primed, as it may its rendering."""
         cols = [c for _, c, _ in self.cells]
         return (self.cells[0][0], min(cols), self.cells[-1][0], max(cols))
 

@@ -12,6 +12,7 @@ from gridlang.compose import (
     And,
     Budget,
     Comparison,
+    Context,
     Not,
     Or,
     ParseError,
@@ -436,6 +437,87 @@ class TestComposeLangsAtTheFrameEdges:
         assert all(held[text] == 0 for text in self.NEVER), held
         assert all(held[text] > 0 for text in self.RESTRICTIONS if text not in self.NEVER), held
         assert exact >= 30 and outside >= 150, (exact, outside)
+
+
+class TestBoundedPlacement:
+    # compose_langs tests the bounds on each offset before it builds the
+    # placement, and the placement carries the box it computed.
+    def test_kept_words_are_the_admitted_placements_with_their_boxes(self):
+        rng = random.Random(2707)
+        kept = cut = 0
+        for _ in range(300):
+            l1 = {random_word(rng, 3) for _ in range(rng.randint(1, 3))}
+            l2 = {random_word(rng, 3) for _ in range(rng.randint(1, 3))}
+            r = oracle_restriction(rng)
+            rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+            bounds = Bounds(rows, cols, rng.randint(rows * cols // 2 + 1, rows * cols))
+            every = {res for v in l1 for w in l2 for res in compose_words(v, w, r)}
+            got = compose_langs(l1, l2, r, bounds, Budget(10_000))
+            assert got == {res for res in every if bounds.admits(res)}, format_restriction(r)
+            for w in got:
+                assert w.__dict__["bbox"] == Word(w.cells).bbox, w.cells
+            kept += len(got)
+            cut += sum(
+                len(v) + len(w) <= bounds.max_cells and not bounds.admits(res)
+                for v in l1
+                for w in l2
+                for res in compose_words(v, w, r)
+            )
+        assert kept >= 200 and cut >= 200, (kept, cut)
+
+
+class TestContext:
+    # A context carries its plan and its right operand across calls; each
+    # call through it equals a one-shot call on the same words.
+    def test_growing_operands_match_one_shot_calls(self):
+        rng = random.Random(2708)
+        placed = rebuilt = 0
+        for _ in range(60):
+            r = oracle_restriction(rng)
+            rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+            bounds = Bounds(rows, cols, rng.randint(1, rows * cols))
+            ctx = Context(r, bounds)
+            held = frozenset()
+            for _ in range(rng.randint(1, 5)):
+                new = held | {random_word(rng, 3) for _ in range(rng.randint(0, 3))}
+                if rng.random() < 0.2:  # a round cut short extended it further
+                    ctx.extend(held, held | {random_word(rng, 3)})
+                    rebuilt += 1
+                fresh = ctx.extend(held, new)
+                sizes = [size for size, _, _ in ctx.right]
+                assert sizes == sorted(sizes) and len(sizes) == len(new)
+                assert {w for _, w, _ in ctx.right} == set(map(normalize, new))
+                left = {random_word(rng, 3) for _ in range(rng.randint(0, 3))}
+                for entries, words in ((ctx.right, new), (fresh, new - held)):
+                    through, alone = Budget(10_000), Budget(10_000)
+                    got = compose_langs(left, entries, ctx, bounds, through)
+                    assert got == compose_langs(left, words, r, bounds, alone)
+                    assert through.remaining == alone.remaining
+                    placed += bool(got)
+                held = new
+        assert placed >= 50 and rebuilt >= 20, (placed, rebuilt)
+
+    def test_star_resumed_through_its_context(self):
+        rng = random.Random(2709)
+        bounds = Bounds(4, 4, 4)
+        checked = 0
+        for _ in range(150):
+            base = {random_word(rng, 2) for _ in range(rng.randint(1, 2))}
+            delta = {random_word(rng, 2) for _ in range(rng.randint(1, 2))}
+            r = random_restriction(rng)
+            ctx = Context(r, bounds)
+            through, alone = Budget(20_000), Budget(20_000)
+            try:
+                old = star(base, r, bounds, Budget(3000), context=ctx)
+                fresh = star(base | delta, r, bounds, Budget(20_000))
+                got = star(base | delta, r, bounds, through, closed=old, context=ctx)
+            except BudgetExhausted:
+                continue
+            checked += 1
+            assert got == fresh
+            assert got == star(base | delta, r, bounds, alone, closed=old)
+            assert through.remaining == alone.remaining
+        assert checked >= 100, checked
 
 
 class TestSolveSpends:

@@ -14,11 +14,12 @@ from gridlang.compose import (
     format_restriction,
     parse_restriction,
 )
-from gridlang.grid import Bounds, Budget, Selector, Word, corpus_text
+from gridlang.grid import Bounds, Budget, Selector, Word, corpus_text, translate
 from gridlang.expr import (
     Atom,
     Compose,
     EquationSystem,
+    Rounds,
     Star,
     Sum,
     Var,
@@ -32,7 +33,7 @@ from gridlang.expr import (
     parse_system,
 )
 
-from conftest import W, random_edits, random_restriction, with_comments
+from conftest import W, random_edits, random_restriction, random_word, with_comments
 
 
 def random_expr(rng: random.Random, depth: int):
@@ -426,3 +427,29 @@ class TestEval:
         b = Bounds(1, 1, 1)
         with pytest.raises(ValueError, match="unbound variable X"):
             eval_expr(parse_expr("X"), {}, b, Budget(b.node_budget))
+
+    def test_rounds_over_growing_lists_match_fresh_evaluations(self):
+        # Each round of a Rounds adds only what the new words produce; with
+        # list environments that grow by shifted words, repeats and words
+        # outside the bounds, each round still gives a fresh evaluation.
+        rng = random.Random(2710)
+        names = ["X", "Y1", "Er", "X5'", "U_v"]
+        bounds = Bounds(2, 3, 3)
+        grew = 0
+        for _ in range(200):
+            e = random_expr(rng, 3)
+            env = {name: [] for name in names}
+            rounds, last = Rounds(), frozenset()
+            for _ in range(4):
+                for words in env.values():
+                    for _ in range(rng.randint(0, 2)):
+                        w = random_word(rng, rng.choice((2, 3)))
+                        words.append(translate(w, rng.randint(-2, 2), rng.randint(-2, 2)))
+                    if words and rng.random() < 0.3:
+                        words.append(rng.choice(words))
+                got = eval_expr(e, env, bounds, Budget(10**6), rounds)
+                rounds.commit()
+                assert got == eval_expr(e, env, bounds, Budget(10**6)), format_expr(e)
+                grew += bool(last) and got != last
+                last = got
+        assert grew >= 80, grew
