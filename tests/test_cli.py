@@ -711,6 +711,16 @@ class TestWideBoxes:
         assert (res.returncode, res.stderr) == (1, "")
         assert f"tiles: {2 ** 199} words" in res.stdout.splitlines()
 
+    def test_composition_frame_is_as_wide_as_a_word(self):
+        # The solver's words are connected, and a connected word of 9
+        # cells spans at most 9 columns, so composition places words in a
+        # frame no wider, however wide the box.
+        box = ("solve", "--system", "squares", "--max-rows", "3", "--max-cells", "9",
+               "--format", "records")
+        res = self.run_capped(*box, "--max-cols", "10000000")
+        assert (res.returncode, res.stderr) == (0, "")
+        assert go(*box, "--max-cols", "9") == (0, res.stdout)
+
     @pytest.mark.parametrize("verb", [("enum",), ("diff", "--system", "squares")])
     def test_budget_ends_a_wide_box(self, verb):
         res = self.run_capped(*verb, *self.BUDGETED)

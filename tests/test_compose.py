@@ -520,6 +520,78 @@ class TestContext:
         assert checked >= 100, checked
 
 
+def gapped_word(rng, cols):
+    """Two or three cells in two rows, spread over `cols` columns: a word
+    with empty columns inside its box, wider than its cell count."""
+    cells = {(rng.randrange(2), c): rng.choice("ab") for c in (0, cols - 1)}
+    cells[(rng.randrange(2), rng.randrange(cols))] = rng.choice("ab")
+    return Word.from_map(cells)
+
+
+class TestWordsWithHoles:
+    # A word with empty columns inside its box spans more columns than it
+    # has cells, so it can be wider than the frame a context starts with,
+    # which is as wide as the cell bound; its masks and offsets would then
+    # wrap into the next row of the frame.
+    def test_wide_operands_match_the_union_of_pair_scans(self):
+        rng = random.Random(2901)
+        wide = placed = 0
+        for _ in range(100):
+            # The wide words on one side, so that each side must widen.
+            langs = [
+                {random_word(rng, 2) for _ in range(rng.randint(1, 2))},
+                {gapped_word(rng, rng.randint(6, 14)) for _ in range(rng.randint(1, 2))},
+            ]
+            rng.shuffle(langs)
+            r = oracle_restriction(rng)
+            bounds = Bounds(rng.randint(2, 4), rng.randint(16, 30), rng.randint(3, 5))
+            want = frozenset(
+                res
+                for v in langs[0]
+                for w in langs[1]
+                for res in oracle_compose(v, w, r)
+                if bounds.admits(res)
+            )
+            budget = Budget(10_000)
+            assert compose_langs(*langs, r, bounds, budget) == want, format_restriction(r)
+            assert 10_000 - budget.remaining == len(langs[0]) * len(langs[1])
+            # Wide enough that a mask at the first frame's width would wrap.
+            wide += any(w.width > 2 * bounds.max_cells + 4 for side in langs for w in side)
+            placed += bool(want)
+        assert wide >= 20 and placed >= 25, (wide, placed)
+
+    def test_context_widens_after_masks_were_fetched(self):
+        # Narrow words first, so entries hold masks of the first frame; then
+        # wider right and left words, through one context, against one-shot
+        # calls, their charges and the pair scan.
+        rng = random.Random(2902)
+        widened = 0
+        for _ in range(40):
+            r = oracle_restriction(rng)
+            bounds = Bounds(3, 30, 3)
+            ctx = Context(r, bounds)
+            held = frozenset()
+            for cols in (1, 2, 9, 12, 14):
+                new = held | {gapped_word(rng, cols) if cols > 2 else random_word(rng, cols)}
+                fresh = ctx.extend(held, new)
+                for left in ({random_word(rng, 2)}, {gapped_word(rng, rng.randint(9, 14))}):
+                    for entries, words in ((ctx.right, new), (fresh, new - held)):
+                        through, alone = Budget(10_000), Budget(10_000)
+                        got = compose_langs(left, entries, ctx, bounds, through)
+                        assert got == compose_langs(left, words, r, bounds, alone)
+                        assert through.remaining == alone.remaining
+                    assert got == {
+                        res
+                        for v in left
+                        for w in new - held
+                        for res in oracle_compose(v, w, r)
+                        if bounds.admits(res)
+                    }
+                held = new
+            widened += ctx.plan.cols > bounds.max_cells
+        assert widened == 40, widened
+
+
 class TestSolveSpends:
     # The node budget a solve spends: one unit per pair of words that
     # composition meets, pairs it skips without placing included.

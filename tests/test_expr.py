@@ -428,6 +428,23 @@ class TestEval:
         with pytest.raises(ValueError, match="unbound variable X"):
             eval_expr(parse_expr("X"), {}, b, Budget(b.node_budget))
 
+    def test_equal_subexpressions_share_one_rounds_entry(self):
+        # Rounds looks nodes up by value: two equal subtrees parsed apart
+        # meet in one entry of each Rounds dict, round after round.
+        e = parse_expr("a (e=w) b*(e=w) + a (e=w) b*(e=w) (s=n) X")
+        first, second = e.items
+        assert first == second.left and first is not second.left
+        bounds, env = Bounds(3, 3, 4), {"X": [W("a"), W("ab")]}
+        rounds = Rounds()
+        for _ in range(3):
+            got = eval_expr(e, env, bounds, Budget(10**6), rounds)
+            assert got == eval_expr(e, env, bounds, Budget(10**6))
+            # Sum, the shared composition, a, b*, b, the outer composition, X
+            assert len(rounds.current) == 7
+            assert len(rounds.contexts) == 3
+            rounds.commit()
+            env["X"].append(W("b"))
+
     def test_rounds_over_growing_lists_match_fresh_evaluations(self):
         # Each round of a Rounds adds only what the new words produce; with
         # list environments that grow by shifted words, repeats and words

@@ -1,15 +1,20 @@
 """Geometry layer: normalization, components, contours, extremes, rendering."""
 
+import collections
 import random
+import types
 
 import pytest
 
 from conftest import W, random_word
+from gridlang.compose import compose_langs, parse_restriction
 from gridlang.grid import (
     ELEMENT_KINDS,
     FILTERS,
     Bounds,
+    Budget,
     Element,
+    FrozenRecordError,
     Selector,
     Word,
     contour,
@@ -22,6 +27,7 @@ from gridlang.grid import (
     translate,
     word_sort_key,
 )
+from gridlang.tiling import _search, parse_two_color
 
 
 def els(*triples):
@@ -96,6 +102,58 @@ class TestTranslate:
     def test_non_integral_shift_rejected(self):
         with pytest.raises(ValueError):
             translate(W("ab"), 0.5, 0)
+
+
+class TestTrustedWords:
+    # Word._trusted stores the cells and any primed rendering or box as
+    # __init__ stores a field; the words it makes must read, compare,
+    # hash and refuse assignment as validated words do.
+    PROPS = ("bbox", "rendering", "cell_map", "positions", "height", "width", "contour")
+
+    @staticmethod
+    def made():
+        """(trusted word, the names of the properties it holds primed)."""
+        rng = random.Random(2901)
+        searched = list(_search(parse_two_color("F02ac.c"), Bounds(3, 4, 5), Budget(10**6)))
+        for w in searched:
+            yield w, ("cells", "rendering")
+        for w in searched[::7]:
+            yield translate(w, rng.randint(-3, 3), rng.randint(-3, 3)), ("cells", "rendering")
+        for _ in range(50):
+            yield translate(random_word(rng, 4), rng.randint(-3, 3), 1), ("cells",)
+        for text in ("e = w", "s = n", "se # nw", "xe < w"):
+            l1 = [random_word(rng, 3) for _ in range(6)]
+            l2 = [random_word(rng, 3) for _ in range(6)]
+            placed = compose_langs(l1, l2, parse_restriction(text), Bounds(5, 5, 9), Budget(10**6))
+            assert placed, text
+            for w in placed:
+                yield w, ("cells", "bbox")
+
+    def test_read_compare_and_hash_as_validated_words(self):
+        kinds = collections.Counter()
+        for w, primed in self.made():
+            kinds[primed] += 1
+            twin = Word(w.cells)
+            # What the builder stored is still seen through __dict__.
+            held = w.__dict__
+            assert set(primed) <= set(held), (primed, held)
+            for name in primed[1:]:
+                assert held[name] == getattr(twin, name), (name, w.cells)
+            for name in self.PROPS:
+                assert getattr(w, name) == getattr(twin, name), (name, w.cells)
+            assert w == twin and twin == w and hash(w) == hash(twin)
+            assert word_sort_key(w) == word_sort_key(twin)
+        assert kinds[("cells", "rendering")] >= 200, kinds
+        assert min(kinds.values()) >= 40, kinds
+
+    def test_assignment_and_deletion_raise(self):
+        for w, primed in self.made():
+            for name in ("cells", "rendering", "bbox", "extra"):
+                with pytest.raises(FrozenRecordError):
+                    setattr(w, name, None)
+                with pytest.raises(FrozenRecordError):
+                    delattr(w, name)
+            assert w == Word(w.cells)
 
 
 class TestHvComponents:
@@ -445,6 +503,21 @@ class TestRenderAndText:
         words = [W("ba"), W("a"), W("ab")]
         words.sort(key=word_sort_key)
         assert words == [W("a"), W("ab"), W("ba")]
+
+    def test_sort_key_orders_as_count_then_picture(self):
+        # The one-string key orders words as the (count, picture) pair
+        # does, for counts on both sides of the last character's code point.
+        def pair(w):
+            return (len(w.cells), w.rendering.replace("\n", "/"))
+
+        rng = random.Random(2903)
+        words = [random_word(rng, 4, "ab09") for _ in range(300)]
+        counts = (0, 1, 0xD7FF, 0xD800, 0x10FFFE, 0x10FFFF, 0x110000, 9_999_999, 10**7, 10**12)
+        for n in counts:
+            for rendering in ("a", "a.\n.b", "\u00e9", "\U0010ffff"):
+                words.append(types.SimpleNamespace(cells=range(n), rendering=rendering))
+        by_key = sorted(words, key=word_sort_key)
+        assert [pair(w) for w in by_key] == sorted(map(pair, words))
 
     def test_source_lines_cut_comments_and_skip_blank_lines(self):
         text = "-- head\r\n  a = b  -- note\n\n\t--\nc--d--e\n  f"
