@@ -29,6 +29,7 @@ keeps every intermediate result inside the given bounds.
 from __future__ import annotations
 
 import re
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .compose import (
@@ -52,7 +53,26 @@ _ATOM_CHARS = "abcdefghijklmnopqrstuvwxyz0123456789"
 _VAR_NAME = re.compile(VAR_NAME)
 
 
-@record
+def _node(cls: type) -> type:
+    """`record` for an expression node, which keeps its hash after the
+    first call. `Rounds` keys its dicts by nodes, and a record's hash
+    hashes the whole subtree again at every lookup. The kept value is the
+    hash of the field tuple, as for any record; pickling and copying
+    leave it out, since a string hashes differently in another process.
+    """
+    names = tuple(cls.__annotations__)
+
+    def field_hash(self) -> int:
+        return hash(tuple(getattr(self, n) for n in names))
+
+    cls._hash = cached_property(field_hash)
+    cls._hash.__set_name__(cls, "_hash")
+    cls.__hash__ = lambda self: self._hash
+    cls.__getstate__ = lambda self: {n: getattr(self, n) for n in names}
+    return record(cls)
+
+
+@_node
 class Atom:
     """A single-cell word constant."""
 
@@ -63,7 +83,7 @@ class Atom:
             raise ValueError(f"bad atom letter {self.letter!r}")
 
 
-@record
+@_node
 class Sum:
     items: tuple["Expr", ...]
 
@@ -72,20 +92,20 @@ class Sum:
             raise ValueError("a sum needs at least two operands")
 
 
-@record
+@_node
 class Compose:
     left: "Expr"
     restriction: Restriction
     right: "Expr"
 
 
-@record
+@_node
 class Star:
     body: "Expr"
     restriction: Restriction
 
 
-@record
+@_node
 class Var:
     name: str
 

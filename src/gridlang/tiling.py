@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections.abc import Set
 from functools import cached_property
 from math import comb
 from typing import Callable, Iterable, Iterator, Optional
@@ -564,19 +565,61 @@ def _search(f: TileSystem, bounds: Bounds, budget: Budget) -> Iterator[Word]:
             yield from words(cells, lines, height, width, below)
 
 
-class Language(frozenset):
-    """A set of words that also keeps them, in `found`, in the order the
-    tile search found them. In that order most neighbours descend in
-    listing order (24,001 of the 31,027 adjacent pairs of `F02ac.c` at
-    5x5x6), and a sort reverses descending runs whole, so a listing sorts
-    its keys in under half the time a shuffled order takes."""
+class Language(Set):
+    """The words of a tile system's language in a box: a read-only set
+    that keeps them, in `found`, in the order the tile search found them.
 
-    __slots__ = ("found",)
+    Length and iteration read `found`, so a listing, which sorts and
+    writes `found`, hashes no word. Membership, comparisons and hashing
+    go through the frozenset of the words, built the first time one of
+    them needs it: a Language equals, orders and hashes as that frozenset
+    does, and `|`, `&`, `-` and `^` return frozensets.
 
-    def __new__(cls, found: list[Word]) -> "Language":
-        self = super().__new__(cls, found)
+    In search order most neighbours descend in listing order (24,001 of
+    the 31,027 adjacent pairs of `F02ac.c` at 5x5x6), and a sort reverses
+    descending runs whole, so a listing sorts its keys in under half the
+    time a shuffled order takes."""
+
+    def __init__(self, found: list[Word]) -> None:
         self.found = found
-        return self
+
+    @cached_property
+    def _words(self) -> frozenset[Word]:
+        return frozenset(self.found)
+
+    @classmethod
+    def _from_iterable(cls, words: Iterable[Word]) -> frozenset[Word]:
+        return frozenset(words)
+
+    def __len__(self) -> int:
+        return len(self.found)
+
+    def __iter__(self) -> Iterator[Word]:
+        return iter(self.found)
+
+    def __contains__(self, w: object) -> bool:
+        return w in self._words
+
+    def __eq__(self, other: object) -> bool:
+        return self._words == other
+
+    def __le__(self, other: object) -> bool:
+        return self._words <= other
+
+    def __lt__(self, other: object) -> bool:
+        return self._words < other
+
+    def __ge__(self, other: object) -> bool:
+        return self._words >= other
+
+    def __gt__(self, other: object) -> bool:
+        return self._words > other
+
+    def __hash__(self) -> int:
+        return hash(self._words)
+
+    def __repr__(self) -> str:
+        return f"Language({self.found!r})"
 
 
 def enumerate_language(f: TileSystem, bounds: Bounds) -> Language:

@@ -1,5 +1,7 @@
 """Expression DSL: grammar, printer, classification, evaluation."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -444,6 +446,23 @@ class TestEval:
             assert len(rounds.contexts) == 3
             rounds.commit()
             env["X"].append(W("b"))
+
+    def test_nodes_hash_their_subtree_once(self, monkeypatch):
+        # A node keeps its hash, the hash of its field tuple, so a Rounds
+        # lookup hashes no subtree again. Pickling and copying leave the
+        # kept hash out: a string hashes differently in another process.
+        e = parse_expr("a (e=w) b*(n=s) + X")
+        hash(Selector("e"))  # the record compiles `__hash__` on its first call
+        hashed = Selector.__hash__
+        calls = []
+        monkeypatch.setattr(Selector, "__hash__", lambda s: calls.append(s) or hashed(s))
+        assert hash(e) == hash(e) == hash((e.items,))
+        assert len(calls) == 4  # the two selectors of each restriction, once
+        for node in (e, e.items[0], e.items[0].right, e.items[1]):
+            assert hash(node) == hash(tuple(getattr(node, n) for n in type(node).__annotations__))
+        for twin in (pickle.loads(pickle.dumps(e)), copy.deepcopy(e), copy.copy(e)):
+            assert twin == e and "_hash" not in vars(twin)
+            assert hash(twin) == hash(e)
 
     def test_rounds_over_growing_lists_match_fresh_evaluations(self):
         # Each round of a Rounds adds only what the new words produce; with

@@ -1,6 +1,9 @@
 """Tile systems, scenarios, enumeration, projection."""
 
+import collections.abc
+import io
 import itertools
+import operator
 import random
 
 import pytest
@@ -447,7 +450,7 @@ class TestEnumerate:
     def test_found_lists_each_word_once_in_search_order(self):
         bounds = Bounds(4, 4, 5)
         lang = enumerate_language(F, bounds)
-        assert isinstance(lang, frozenset)
+        assert isinstance(lang, collections.abc.Set)
         assert len(lang.found) == len(lang) and frozenset(lang.found) == lang
         assert lang.found == list(_search(F, bounds, Budget(bounds.node_budget)))
         # The search order is mostly sorted already, which is what makes
@@ -492,6 +495,82 @@ class TestEnumerate:
     def test_budget_generous_is_fine(self):
         lang = enumerate_language(F, Bounds(2, 2, 4, node_budget=10_000))
         assert W("c") in lang
+
+
+class TestLanguageSet:
+    """`enumerate_language` returns a set view over the search's list that
+    behaves as the frozenset of its words."""
+
+    @pytest.fixture(scope="class")
+    def lang(self):
+        return enumerate_language(F, Bounds(3, 3, 4))
+
+    def test_length_and_iteration_read_the_search_order(self, lang):
+        assert len(lang) == len(lang.found) == len(frozenset(lang.found))
+        assert list(lang) == lang.found
+
+    def test_equals_and_hashes_as_its_frozenset(self, lang):
+        words = frozenset(lang.found)
+        assert lang == words and words == lang
+        assert lang == set(words) and set(words) == lang
+        assert not (lang != words) and not (words != lang)
+        assert hash(lang) == hash(words)
+        assert {words: 1}[lang] == 1
+        smaller = words - {W("c")}
+        assert lang != smaller and smaller != lang
+        assert lang != list(words)
+
+    def test_orders_as_its_frozenset(self, lang):
+        words = frozenset(lang.found)
+        small = enumerate_language(F, Bounds(2, 2, 2))
+        assert lang <= words and words <= lang and lang >= words and words >= lang
+        assert not (lang < words) and not (words > lang)
+        assert small < lang and lang > small and small < words and words > small
+        assert not (lang <= small) and not (lang < small)
+        with pytest.raises(TypeError):
+            lang <= list(words)
+
+    @pytest.mark.parametrize("op", [operator.or_, operator.and_, operator.sub, operator.xor])
+    def test_algebra_returns_frozensets(self, lang, op):
+        words = frozenset(lang.found)
+        other = frozenset({W("c"), W("c.", ".c"), W("a")})
+        for got, want in [
+            (op(lang, other), op(words, other)),
+            (op(other, lang), op(other, words)),
+            (op(lang, lang), op(words, words)),
+        ]:
+            assert type(got) is frozenset and got == want
+
+    def test_membership(self, lang):
+        assert all(w in lang for w in lang.found)
+        assert W("c.", "ac") in lang
+        for w in [W("a"), W("cc"), W("cccc"), W("c.c", ".c.", "c.c"), "c", None]:
+            assert w not in lang
+
+    def test_budget_partial_stays_a_frozenset(self):
+        with pytest.raises(BudgetExhausted) as exc:
+            enumerate_language(F, Bounds(3, 3, 9, node_budget=20))
+        assert type(exc.value.partial) is frozenset
+
+    def test_a_listing_hashes_no_word(self, monkeypatch):
+        from gridlang import cli
+
+        hash(W("c"))  # the record compiles `__hash__` on its first call
+        hashed = Word.__hash__
+        calls = []
+
+        def counted(w):
+            calls.append(w)
+            return hashed(w)
+
+        monkeypatch.setattr(Word, "__hash__", counted)
+        assert hash(W("c")) == hashed(W("c")) and len(calls) == 1
+        calls.clear()
+        out = io.StringIO()
+        args = ["enum", "--sats", "F02ac.c", "--max-rows", "4", "--max-cols", "4"]
+        assert cli.run([*args, "--max-cells", "5", "--format", "records"], out) == 0
+        assert len(out.getvalue().splitlines()) == 1051
+        assert not calls, f"{len(calls)} words hashed"
 
 
 class TestProjection:
